@@ -30,10 +30,8 @@ object BenchUtil {
 
   /** Full dependency column δ_{v•}(r) for all v, distributed, cached. */
   def deltaColumn(spark: SparkSession, name: String, g: CSRGraph, r: Int): Array[Double] =
-    columnCache.getOrElseUpdate((name, r), {
-      val m = SparkBrandes.dependenciesOnTarget(spark, g, 0 until g.n, r)
-      Array.tabulate(g.n)(m)
-    })
+    columnCache.getOrElseUpdate((name, r),
+      SparkBrandes.dependenciesOnTarget(spark, g, 0 until g.n, r))
 
   /** Exact BC(r) from the cached column. */
   def exactBC(spark: SparkSession, name: String, g: CSRGraph, r: Int): Double =

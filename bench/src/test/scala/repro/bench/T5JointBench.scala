@@ -25,12 +25,12 @@ class T5JointBench extends SparkSpec {
     val R = probes(g)
     val cols = R.map(r => BenchUtil.deltaColumn(spark, name, g, r))
     val exact = R.indices.map(k => cols(k).sum)
-    def deltaOf(v: Int): Array[Double] = Array.tabulate(R.length)(k => cols(k)(v))
+    val deltaTable = Array.tabulate(g.n * R.length)(i => cols(i % R.length)(i / R.length))
 
     def meanPairErr(T: Int): Double = {
       val errs = for (s <- 1 to Seeds) yield {
         val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, g.n, T, 500L * s)
-        val chain = MHJoint.walk(R, g.n, 500L * s, r0, v0, pr, pv, deltaOf)
+        val chain = MHJoint.walk(R, g.n, 500L * s, r0, v0, pr, pv, deltaTable)
         val pairErrs = for {
           i <- R.indices; j <- R.indices if i != j
         } yield {
@@ -59,7 +59,7 @@ class T5JointBench extends SparkSpec {
     val byDeg = (0 until g.n).sortBy(v => -g.degree(v))
     val R = Array(byDeg(0), byDeg(1))
     val cols = R.map(r => BenchUtil.deltaColumn(spark, name, g, r))
-    def deltaOf(v: Int): Array[Double] = Array.tabulate(R.length)(k => cols(k)(v))
+    val deltaTable = Array.tabulate(g.n * R.length)(i => cols(i % R.length)(i / R.length))
 
     // exact Eq.19 expectation and exact Eq.23 uniform average, from columns
     def capped(a: Double, b: Double) = repro.core.Estimators.cappedRatio(a, b)
@@ -71,7 +71,7 @@ class T5JointBench extends SparkSpec {
       (0 until g.n).map(w => capped(cols(i)(w), cols(j)(w))).sum / g.n
 
     val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, g.n, 30000, 77L)
-    val chain = MHJoint.walk(R, g.n, 77L, r0, v0, pr, pv, deltaOf)
+    val chain = MHJoint.walk(R, g.n, 77L, r0, v0, pr, pv, deltaTable)
     val rows = for (i <- R.indices; j <- R.indices if i != j) yield {
       val est = chain.relativeEstimate(i, j)
       val e19 = eq19(i, j)

@@ -20,7 +20,7 @@ object RunJointMH {
       val g = Jobs.csr(args(0))
       val chain = MHJoint.runSpark(spark, g, R, T, seed)
       val exact = R.map(r =>
-        r -> SparkBrandes.dependenciesOnTarget(spark, g, 0 until g.n, r).values.sum).toMap
+        r -> SparkBrandes.dependenciesOnTarget(spark, g, 0 until g.n, r).sum).toMap
       println(s"graph=${args(0)} n=${g.n} m=${g.m} R=${R.mkString(",")} T=$T seed=$seed")
       println(f"acceptanceRate=${chain.acceptanceRate}%.4f")
       for (i <- R.indices; j <- R.indices if i != j) {

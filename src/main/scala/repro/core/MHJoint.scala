@@ -1,13 +1,15 @@
 package repro.core
 
-import scala.util.Random
+import java.util.BitSet
 import org.apache.spark.sql.SparkSession
 import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 
 /** One realized run of the joint-space sampler (§4.3). States are pairs
   * ⟨r, v⟩ with r ∈ R, v ∈ V(G); `statesR(t)` stores the *index into R*.
   *
-  * @param delta per-source dependency restricted to R: delta(v)(k) = δ_{v•}(R(k))
+  * @param delta the δ table restricted to R, row-major n × |R|:
+  *              delta(v * R.length + k) = δ_{v•}(R(k)) for every vertex v that
+  *              appeared as a state or proposal, NaN ("not evaluated") elsewhere
   */
 final case class JointChain(
     R: Array[Int],
@@ -18,26 +20,42 @@ final case class JointChain(
     propsR: Array[Int],
     propsV: Array[Int],
     accepted: Array[Boolean],
-    delta: Map[Int, Array[Double]]) {
+    delta: Array[Double]) {
 
   def T: Int = propsV.length
 
   def acceptanceRate: Double = if (T == 0) 0.0 else accepted.count(identity).toDouble / T
 
   /** Iterations whose r-component is R(k) — the multiset S(k) of the paper. */
-  def sampleIndices(k: Int): IndexedSeq[Int] = (0 to T).filter(statesR(_) == k)
+  def sampleIndices(k: Int): Array[Int] = {
+    val idx = new Array[Int](statesR.count(_ == k))
+    var m = 0
+    var t = 0
+    while (t <= T) { if (statesR(t) == k) { idx(m) = t; m += 1 }; t += 1 }
+    idx
+  }
 
   /** Numerator of Eq. 22 for the ordered pair (i over j):
     * (1/|S(j)|) Σ_{s ∈ S(j)} min{1, δ_{s.v•}(r_i)/δ_{s.v•}(r_j)} — the
-    * estimator of the relative betweenness score B̈C_{r_j}(r_i).
+    * estimator of the relative betweenness score B̈C_{r_j}(r_i). NaN when
+    * S(j) is empty or a sampled δ was never evaluated.
     */
   def relativeEstimate(i: Int, j: Int): Double = {
-    val idx = sampleIndices(j)
-    if (idx.isEmpty) Double.NaN
-    else idx.map { t =>
-      val d = delta(statesV(t))
-      Estimators.cappedRatio(d(i), d(j))
-    }.sum / idx.size
+    val width = R.length
+    var sum = 0.0
+    var size = 0
+    var t = 0
+    while (t <= T) {
+      if (statesR(t) == j) {
+        val row = statesV(t) * width
+        val di = delta(row + i); val dj = delta(row + j)
+        if (di.isNaN || dj.isNaN) return Double.NaN
+        sum += Estimators.cappedRatio(di, dj)
+        size += 1
+      }
+      t += 1
+    }
+    if (size == 0) Double.NaN else sum / size
   }
 
   /** Eq. 22: estimate of BC(r_i)/BC(r_j). */
@@ -52,63 +70,78 @@ final case class JointChain(
   * As with [[MHSingle]], proposals are iid, so each distinct proposed source
   * v needs one Brandes pass — which yields δ_{v•}(x) for *every* x at once,
   * so the whole R-restricted dependency table for a chain is one Spark job
-  * ([[SparkBrandes.dependenciesOnTargets]]).
+  * ([[SparkBrandes.dependencyTable]]).
   */
 object MHJoint {
 
   def drawProposals(nR: Int, n: Int, T: Int, seed: Long)
       : (Int, Int, Array[Int], Array[Int]) = {
-    val rnd = new Random(seed)
+    val rnd = new Lcg(seed)
     val r0 = rnd.nextInt(nR)
     val v0 = rnd.nextInt(n)
-    val pr = Array.fill(T)(rnd.nextInt(nR))
-    val pv = Array.fill(T)(rnd.nextInt(n))
+    val pr = new Array[Int](T)
+    val pv = new Array[Int](T)
+    var t = 0
+    while (t < T) { pr(t) = rnd.nextInt(nR); t += 1 }
+    t = 0
+    while (t < T) { pv(t) = rnd.nextInt(n); t += 1 }
     (r0, v0, pr, pv)
   }
 
-  /** Accept/reject walk; same zero-δ conventions as [[MHSingle.walk]]. */
+  /** Accept/reject walk over a δ table (n × |R|, see [[JointChain.delta]]);
+    * same zero-δ conventions and missing-δ failure as [[MHSingle.walk]].
+    */
   def walk(R: Array[Int], n: Int, seed: Long, r0: Int, v0: Int,
            propsR: Array[Int], propsV: Array[Int],
-           deltaOf: Int => Array[Double]): JointChain = {
+           delta: Array[Double]): JointChain = {
+    val width = R.length
+    require(delta.length == n * width,
+      s"delta table has length ${delta.length}, expected n * |R| = $n * $width")
     val T = propsV.length
-    val rnd = new Random(seed ^ 0x5DEECE66DL)
+    val rnd = new Lcg(seed ^ 0x5DEECE66DL)
     val statesR = new Array[Int](T + 1)
     val statesV = new Array[Int](T + 1)
     val accepted = new Array[Boolean](T)
-    val deltas = scala.collection.mutable.HashMap.empty[Int, Array[Double]]
-    def d(v: Int): Array[Double] = deltas.getOrElseUpdate(v, deltaOf(v))
     statesR(0) = r0; statesV(0) = v0
     var curR = r0; var curV = v0
+    var dc = delta(v0 * width + r0)
+    if (dc.isNaN) MHSingle.unevaluated(v0)
     var t = 1
     while (t <= T) {
       val pR = propsR(t - 1); val pV = propsV(t - 1)
-      val dp = d(pV)(pR) // evaluate proposal first so the table is complete
-      val dc = d(curV)(curR)
+      val dp = delta(pV * width + pR)
+      if (dp.isNaN) MHSingle.unevaluated(pV)
       val ratio = if (dc == 0.0) 1.0 else dp / dc
       val acc = rnd.nextDouble() < math.min(1.0, ratio)
-      if (acc) { curR = pR; curV = pV }
+      if (acc) { curR = pR; curV = pV; dc = dp }
       accepted(t - 1) = acc
       statesR(t) = curR; statesV(t) = curV
       t += 1
     }
-    JointChain(R, n, seed, statesR, statesV, propsR, propsV, accepted, deltas.toMap)
+    JointChain(R, n, seed, statesR, statesV, propsR, propsV, accepted, delta)
   }
 
   /** Run fully locally. */
-  def run(g: CSRGraph, R: Array[Int], T: Int, seed: Long): JointChain = {
-    val (r0, v0, pr, pv) = drawProposals(R.length, g.n, T, seed)
-    def deltaOf(v: Int): Array[Double] = {
-      val d = LocalBrandes.dependency(g, v)
-      R.map(r => if (v == r) 0.0 else d(r))
-    }
-    walk(R, g.n, seed, r0, v0, pr, pv, deltaOf)
-  }
+  def run(g: CSRGraph, R: Array[Int], T: Int, seed: Long): JointChain =
+    sample(g.n, R, T, seed)(LocalBrandes.dependencyTable(g, _, R))
 
   /** Run with all dependency evaluations as one distributed job. */
   def runSpark(spark: SparkSession, g: CSRGraph, R: Array[Int], T: Int,
-               seed: Long): JointChain = {
-    val (r0, v0, pr, pv) = drawProposals(R.length, g.n, T, seed)
-    val table = SparkBrandes.dependenciesOnTargets(spark, g, v0 +: pv.toSeq, R)
-    walk(R, g.n, seed, r0, v0, pr, pv, table)
+               seed: Long): JointChain =
+    sample(g.n, R, T, seed)(SparkBrandes.dependencyTable(spark, g, _, R))
+
+  /** The one sampler path: draw, mark the distinct sources, build their δ
+    * table with `table`, walk.
+    */
+  private def sample(n: Int, R: Array[Int], T: Int, seed: Long)
+                    (table: BitSet => Array[Double]): JointChain = {
+    require(R.nonEmpty, "target set R must be non-empty")
+    require(R.forall(r => r >= 0 && r < n),
+      s"target set R=${R.mkString("{", ",", "}")} has a vertex outside [0, $n)")
+    require(R.distinct.length == R.length,
+      s"target set R=${R.mkString("{", ",", "}")} has repeated vertices")
+    require(T >= 0, s"chain length T=$T must be non-negative")
+    val (r0, v0, pr, pv) = drawProposals(R.length, n, T, seed)
+    walk(R, n, seed, r0, v0, pr, pv, table(LocalBrandes.markSources(n, v0, pv)))
   }
 }

@@ -1,5 +1,7 @@
 package repro.graph
 
+import java.util.BitSet
+
 /** Exact Brandes machinery on a local CSR graph.
   *
   * This is the ground-truth reference for every sampler: one `dependency`
@@ -56,6 +58,63 @@ object LocalBrandes {
   /** δ_{v•}(r): the quantity the MH acceptance ratio (Eq. 6/17) is built on. */
   def dependencyOn(g: CSRGraph, v: Int, r: Int): Double =
     if (v == r) 0.0 else dependency(g, v)(r)
+
+  /** The distinct vertices of `sources`, as a set over `0 until n`. */
+  def markSources(n: Int, sources: IterableOnce[Int]): BitSet = {
+    val marked = new BitSet(n)
+    sources.iterator.foreach { v =>
+      require(v >= 0 && v < n, s"source $v is not a vertex of a graph with n=$n vertices")
+      marked.set(v)
+    }
+    marked
+  }
+
+  /** The distinct vertices among `first` and `rest`, which must lie in
+    * `0 until n` (a sampler's initial state and its proposals).
+    */
+  def markSources(n: Int, first: Int, rest: Array[Int]): BitSet = {
+    val marked = new BitSet(n)
+    marked.set(first)
+    var i = 0
+    while (i < rest.length) { marked.set(rest(i)); i += 1 }
+    marked
+  }
+
+  /** The samplers' one δ representation: a dense row-major n × |targets|
+    * table with `table(v * targets.length + k)` = δ_{v•}(targets(k)) for
+    * every source v in `sources`, and NaN ("not evaluated") for every other
+    * v. With a single target it is the column δ_{·•}(r).
+    */
+  def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): Array[Double] = {
+    val table = emptyTable(g.n, targets)
+    var v = sources.nextSetBit(0)
+    while (v >= 0) {
+      dependencyRow(g, v, targets, table, v * targets.length)
+      v = sources.nextSetBit(v + 1)
+    }
+    table
+  }
+
+  /** An n × |targets| table with no source evaluated yet (all NaN). */
+  private[graph] def emptyTable(n: Int, targets: Array[Int]): Array[Double] = {
+    targets.foreach(r =>
+      require(r >= 0 && r < n, s"target $r is not a vertex of a graph with n=$n vertices"))
+    require(n.toLong * targets.length <= Int.MaxValue,
+      s"a $n x ${targets.length} dependency table does not fit in one array")
+    val table = new Array[Double](n * targets.length)
+    java.util.Arrays.fill(table, Double.NaN)
+    table
+  }
+
+  /** One row of a dependency table: `out(offset + k)` = δ_{v•}(targets(k)),
+    * all from a single Brandes pass from v.
+    */
+  private[graph] def dependencyRow(g: CSRGraph, v: Int, targets: Array[Int], out: Array[Double],
+                    offset: Int): Unit = {
+    val d = dependency(g, v)
+    var k = 0
+    while (k < targets.length) { out(offset + k) = d(targets(k)); k += 1 }
+  }
 
   /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
   def bc(g: CSRGraph): Array[Double] = {

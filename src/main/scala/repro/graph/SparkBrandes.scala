@@ -1,5 +1,7 @@
 package repro.graph
 
+import java.util.BitSet
+import scala.collection.immutable.ArraySeq
 import org.apache.spark.sql.SparkSession
 
 /** Source-parallel exact Brandes on Spark (RDD layer).
@@ -42,31 +44,58 @@ object SparkBrandes {
     out
   }
 
-  /** δ_{v•}(r) for each source v in `sources`, as one distributed job.
-    * Duplicate sources are deduplicated before shipping.
+  /** [[LocalBrandes.dependencyTable]] as one distributed job: the marked
+    * sources are split over `numPartitions` tasks (default: the session's
+    * parallelism), each task evaluates its rows with the same kernel, and the
+    * driver scatters them into the table. Every row depends only on its own
+    * source, so the table is bit-identical for every partition count.
+    */
+  def dependencyTable(
+      spark: SparkSession,
+      g: CSRGraph,
+      sources: BitSet,
+      targets: Array[Int],
+      numPartitions: Int = 0): Array[Double] = {
+    val table = LocalBrandes.emptyTable(g.n, targets)
+    val ids = sources.stream().toArray
+    if (ids.nonEmpty) {
+      val sc = spark.sparkContext
+      val k = targets.length
+      val parts = math.min(if (numPartitions > 0) numPartitions else sc.defaultParallelism, ids.length)
+      val bg = sc.broadcast(g)
+      val batches = try {
+        sc.parallelize(ArraySeq.unsafeWrapArray(ids), parts)
+          .mapPartitions { vs =>
+            val graph = bg.value
+            val batch = vs.toArray
+            val rows = new Array[Double](batch.length * k)
+            var i = 0
+            while (i < batch.length) { LocalBrandes.dependencyRow(graph, batch(i), targets, rows, i * k); i += 1 }
+            Iterator.single((batch, rows))
+          }
+          .collect()
+      } finally bg.destroy()
+      batches.foreach { case (batch, rows) =>
+        var i = 0
+        while (i < batch.length) { System.arraycopy(rows, i * k, table, batch(i) * k, k); i += 1 }
+      }
+    }
+    table
+  }
+
+  /** The δ column δ_{v•}(r) over the distinct vertices of `sources` (NaN
+    * elsewhere), as one distributed job.
     */
   def dependenciesOnTarget(
       spark: SparkSession,
       g: CSRGraph,
       sources: Seq[Int],
       r: Int,
-      numPartitions: Int = 0): Map[Int, Double] = {
-    val sc = spark.sparkContext
-    val distinct = sources.distinct
-    val parts = math.max(1, math.min(
-      if (numPartitions > 0) numPartitions else sc.defaultParallelism, distinct.size))
-    val bg = sc.broadcast(g)
-    val out = sc
-      .parallelize(distinct, parts)
-      .map { v => v -> (if (v == r) 0.0 else LocalBrandes.dependency(bg.value, v)(r)) }
-      .collect()
-      .toMap
-    bg.destroy()
-    out
-  }
+      numPartitions: Int = 0): Array[Double] =
+    dependencyTable(spark, g, LocalBrandes.markSources(g.n, sources), Array(r), numPartitions)
 
-  /** For each source v in `sources`, the restriction of its dependency vector
-    * to `targets` — one Brandes pass per source yields δ_{v•}(x) for *all* x
+  /** The δ table restricted to `targets` over the distinct vertices of
+    * `sources`: one Brandes pass per source yields δ_{v•}(x) for *all* x
     * simultaneously, so the joint-space sampler (which needs δ_{v•}(r) for
     * every r ∈ R) costs the same per sample as the single-space one.
     */
@@ -75,22 +104,6 @@ object SparkBrandes {
       g: CSRGraph,
       sources: Seq[Int],
       targets: Array[Int],
-      numPartitions: Int = 0): Map[Int, Array[Double]] = {
-    val sc = spark.sparkContext
-    val distinct = sources.distinct
-    val parts = math.max(1, math.min(
-      if (numPartitions > 0) numPartitions else sc.defaultParallelism, distinct.size))
-    val bg = sc.broadcast(g)
-    val bt = sc.broadcast(targets)
-    val out = sc
-      .parallelize(distinct, parts)
-      .map { v =>
-        val d = LocalBrandes.dependency(bg.value, v)
-        v -> bt.value.map(r => if (v == r) 0.0 else d(r))
-      }
-      .collect()
-      .toMap
-    bg.destroy(); bt.destroy()
-    out
-  }
+      numPartitions: Int = 0): Array[Double] =
+    dependencyTable(spark, g, LocalBrandes.markSources(g.n, sources), targets, numPartitions)
 }

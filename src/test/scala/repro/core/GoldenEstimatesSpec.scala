@@ -1,0 +1,33 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.CSRGraph
+import repro.graphgen.GraphGen
+
+/** Estimates at a fixed seed, pinned bit for bit. The values were taken
+  * before the samplers moved to primitive δ columns; a change to the RNG
+  * stream, the walk or an estimator's summation order fails here.
+  */
+class GoldenEstimatesSpec extends AnyFunSuite {
+
+  private val karate = CSRGraph.fromEdges(GraphGen.karateClub)
+
+  private def assertBits(what: String, actual: Double, expectedBits: Long): Unit =
+    assert(java.lang.Double.doubleToLongBits(actual) == expectedBits,
+      s"$what = $actual, expected ${java.lang.Double.longBitsToDouble(expectedBits)}")
+
+  test("single-space estimators on karate, r = 0, T = 5000, seed 2019") {
+    val chain = MHSingle.run(karate, 0, 5000, 2019L)
+    assertBits("estimateHarmonic", chain.estimateHarmonic, 4646823682352694185L) // 461.34494829648844
+    assertBits("estimateEq7", chain.estimateEq7, 4603336451174264458L) // 0.5730118189926128
+    assertBits("ergodicMeanDelta", chain.ergodicMeanDelta, 4626015737799522815L) // 18.909390026756224
+    assertBits("acceptanceRate", chain.acceptanceRate, 4604215447365505725L) // 0.6706
+  }
+
+  test("joint-space ratio on karate, R = {0, 33}, T = 5000, seed 2019") {
+    val chain = MHJoint.run(karate, Array(0, 33), 5000, 2019L)
+    assertBits("ratioEstimate(0, 1)", chain.ratioEstimate(0, 1), 4609220306454767630L) // 1.4525019591806116
+    assertBits("relativeEstimate(0, 1)", chain.relativeEstimate(0, 1), 4603944612983950502L) // 0.6405313433737276
+    assertBits("acceptanceRate", chain.acceptanceRate, 4604002877463093838L) // 0.647
+  }
+}

@@ -38,17 +38,18 @@ class MHJointSpec extends SparkSpec {
     assert(loc.statesR.sameElements(spk.statesR))
     assert(loc.statesV.sameElements(spk.statesV))
     assert(loc.accepted.sameElements(spk.accepted))
-    assert(loc.delta.keySet == spk.delta.keySet)
-    loc.delta.foreach { case (v, d) => assert(d.sameElements(spk.delta(v))) }
+    assert(java.util.Arrays.equals(loc.delta, spk.delta))
   }
 
   test("delta table is exact: delta(v)(k) = local dependencyOn(v, R(k))") {
     val R = Array(0, 33, 5)
     val chain = MHJoint.run(karate, R, 200, 13L)
-    chain.delta.foreach { case (v, arr) =>
-      R.zipWithIndex.foreach { case (r, k) =>
-        assert(arr(k) == LocalBrandes.dependencyOn(karate, v, r), s"delta_{$v}($r)")
-      }
+    val touched = (chain.statesV ++ chain.propsV).toSet
+    assert(chain.delta.length == karate.n * R.length)
+    for (v <- 0 until karate.n; (r, k) <- R.zipWithIndex) {
+      val d = chain.delta(v * R.length + k)
+      if (touched(v)) assert(d == LocalBrandes.dependencyOn(karate, v, r), s"delta_{$v}($r)")
+      else assert(d.isNaN, s"delta_{$v}($r) of an untouched vertex")
     }
   }
 
@@ -125,5 +126,42 @@ class MHJointSpec extends SparkSpec {
     val b = MHJoint.run(karate, R, 1000, 43L)
     assert(a.acceptanceRate == b.acceptanceRate)
     assert(a.acceptanceRate > 0.0 && a.acceptanceRate <= 1.0)
+  }
+
+  private def rejected(f: => Any, message: String): Unit = {
+    val e = intercept[IllegalArgumentException](f)
+    assert(e.getMessage.contains(message), e.getMessage)
+  }
+
+  private def bothRejected(R: Array[Int], T: Int, message: String): Unit = {
+    rejected(MHJoint.run(karate, R, T, 1L), message)
+    rejected(MHJoint.runSpark(spark, karate, R, T, 1L), message)
+  }
+
+  test("run and runSpark reject an empty target set") {
+    bothRejected(Array.empty[Int], 10, "target set R must be non-empty")
+  }
+
+  test("run and runSpark reject a target set with a vertex outside [0, n)") {
+    bothRejected(Array(0, karate.n), 10, "has a vertex outside [0, 34)")
+    bothRejected(Array(-1, 3), 10, "has a vertex outside [0, 34)")
+  }
+
+  test("run and runSpark reject a target set with repeated vertices") {
+    bothRejected(Array(0, 33, 0), 10, "target set R={0,33,0} has repeated vertices")
+  }
+
+  test("run and runSpark reject a negative chain length") {
+    bothRejected(Array(0, 33), -5, "chain length T=-5 must be non-negative")
+  }
+
+  test("relativeEstimate is NaN, not a silent value, when a sampled delta is missing") {
+    val R = Array(0, 33)
+    val chain = MHJoint.run(karate, R, 300, 47L)
+    val table = chain.delta.clone()
+    table(chain.statesV(0) * R.length + chain.statesR(0)) = Double.NaN
+    val broken = chain.copy(delta = table)
+    assert(broken.relativeEstimate(0, chain.statesR(0)).isNaN)
+    assert(!chain.relativeEstimate(0, chain.statesR(0)).isNaN)
   }
 }

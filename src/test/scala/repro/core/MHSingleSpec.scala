@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.graph.{CSRGraph, LocalBrandes}
+import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.GraphGen
 
 class MHSingleSpec extends SparkSpec {
@@ -39,13 +39,15 @@ class MHSingleSpec extends SparkSpec {
     val spk = MHSingle.runSpark(spark, karate, 0, 400, 21L)
     assert(loc.states.sameElements(spk.states))
     assert(loc.accepted.sameElements(spk.accepted))
-    assert(loc.delta == spk.delta)
+    assert(java.util.Arrays.equals(loc.delta, spk.delta))
   }
 
   test("delta map is exact for every touched vertex") {
     val chain = MHSingle.run(karate, 0, 150, 5L)
-    chain.delta.foreach { case (v, d) =>
-      assert(d == LocalBrandes.dependencyOn(karate, v, 0), s"delta($v)")
+    val touched = (chain.states ++ chain.proposals).toSet
+    (0 until karate.n).foreach { v =>
+      if (touched(v)) assert(chain.delta(v) == LocalBrandes.dependencyOn(karate, v, 0), s"delta($v)")
+      else assert(chain.delta(v).isNaN, s"delta($v) of an untouched vertex")
     }
   }
 
@@ -133,8 +135,7 @@ class MHSingleSpec extends SparkSpec {
     val star = CSRGraph.fromEdges(GraphGen.star(6))
     // start the chain at the center (delta = 0); first non-center proposal accepted
     val (_, props) = MHSingle.drawProposals(6, 100, 41L)
-    val chain = MHSingle.walk(0, 6, 41L, v0 = 0, props,
-      v => LocalBrandes.dependencyOn(star, v, 0))
+    val chain = MHSingle.walk(0, 6, 41L, v0 = 0, props, LocalBrandes.dependencyColumn(star, 0))
     val firstLeafProp = props.indexWhere(_ != 0)
     assert(chain.accepted(firstLeafProp))
     assert(chain.states(firstLeafProp + 1) == props(firstLeafProp))
@@ -147,18 +148,65 @@ class MHSingleSpec extends SparkSpec {
     assert(chain.estimateEq7 == 0.0)
   }
 
-  test("Dependency.batch local path matches Spark path") {
-    val sources = Seq.tabulate(100)(i => i % karate.n)
-    val local = Dependency.batch(None, karate, sources, 0)
-    val viaSpark = Dependency.batch(Some(spark), karate, sources, 0)
-    assert(local == viaSpark)
+  test("delta tables: local == Spark for 1, 2, 7, 64 partitions") {
+    val sources = LocalBrandes.markSources(karate.n, Seq.tabulate(100)(i => (i * 7) % karate.n))
+    for (targets <- Seq(Array(0), Array(0, 33, 5))) {
+      val local = LocalBrandes.dependencyTable(karate, sources, targets)
+      for (parts <- Seq(1, 2, 7, 64)) {
+        val viaSpark = SparkBrandes.dependencyTable(spark, karate, sources, targets, parts)
+        assert(java.util.Arrays.equals(local, viaSpark),
+          s"targets ${targets.mkString(",")}, $parts partitions")
+      }
+    }
   }
 
-  test("Dependency.Cache memoizes") {
-    val cache = new Dependency.Cache(karate, 0)
-    val a = cache(5); val b = cache(5)
-    assert(a == b && cache.evaluated == 1)
-    cache(6)
-    assert(cache.evaluated == 2)
+  test("delta tables: non-NaN entries = distinct requested sources") {
+    val requested = Seq(3, 1, 3, 30, 0, 1, 17)
+    val sources = LocalBrandes.markSources(karate.n, requested)
+    val columns = Seq(
+      LocalBrandes.dependencyTable(karate, sources, Array(0)),
+      SparkBrandes.dependencyTable(spark, karate, sources, Array(0)),
+      SparkBrandes.dependenciesOnTarget(spark, karate, requested, 0))
+    columns.foreach { col =>
+      assert(col.length == karate.n)
+      assert(col.indices.filterNot(v => col(v).isNaN).toSet == requested.toSet)
+      requested.foreach(v => assert(col(v) == LocalBrandes.dependencyOn(karate, v, 0), s"delta($v)"))
+    }
+  }
+
+  test("run and runSpark reject a target outside [0, n)") {
+    for (r <- Seq(-1, karate.n)) {
+      val local = intercept[IllegalArgumentException](MHSingle.run(karate, r, 10, 1L))
+      val viaSpark = intercept[IllegalArgumentException](MHSingle.runSpark(spark, karate, r, 10, 1L))
+      Seq(local, viaSpark).foreach(e =>
+        assert(e.getMessage.contains(s"target r=$r is not a vertex"), e.getMessage))
+    }
+  }
+
+  test("run and runSpark reject a negative chain length") {
+    val local = intercept[IllegalArgumentException](MHSingle.run(karate, 0, -1, 1L))
+    val viaSpark = intercept[IllegalArgumentException](MHSingle.runSpark(spark, karate, 0, -1, 1L))
+    Seq(local, viaSpark).foreach(e =>
+      assert(e.getMessage.contains("chain length T=-1 must be non-negative"), e.getMessage))
+  }
+
+  test("walk fails on a proposal whose delta was not evaluated") {
+    val col = LocalBrandes.dependencyColumn(karate, 0)
+    col(5) = Double.NaN
+    val e = intercept[NoSuchElementException](
+      MHSingle.walk(0, karate.n, 1L, v0 = 1, Array(2, 5, 3), col))
+    assert(e.getMessage.contains("source 5 was not evaluated"), e.getMessage)
+  }
+
+  test("estimators return NaN, not a silent value, when a sampled delta is missing") {
+    val chain = MHSingle.run(karate, 0, 300, 47L)
+    def withMissing(v: Int): Chain = {
+      val col = chain.delta.clone()
+      col(v) = Double.NaN
+      chain.copy(delta = col)
+    }
+    assert(withMissing(chain.proposals.last).estimateHarmonic.isNaN)
+    val noStart = withMissing(chain.states(0))
+    assert(noStart.estimateEq7.isNaN && noStart.ergodicMeanDelta.isNaN && noStart.estimateHarmonic.isNaN)
   }
 }
