@@ -41,33 +41,37 @@ object Estimators {
     else if (a > 0.0) 1.0
     else 0.0
 
+  /** δ_{w•}(r_i) at `t(2 * w)` and δ_{w•}(r_j) at `t(2 * w + 1)`, for every
+    * source w: the one exact table the pairwise quantities below read.
+    */
+  private def pairTable(g: CSRGraph, ri: Int, rj: Int): Array[Double] =
+    LocalBrandes.dependencyTable(g, LocalBrandes.allSources(g.n), Array(ri, rj))
+
   /** Exact relative betweenness BC_{r_j}(r_i) (Eq. 23): the uniform average
     * over w ∈ V(G) of min{1, δ_{w•}(r_i)/δ_{w•}(r_j)}.
     */
   def exactRelative(g: CSRGraph, ri: Int, rj: Int): Double = {
+    val t = pairTable(g, ri, rj)
     var s = 0.0
     var w = 0
-    while (w < g.n) {
-      val d = LocalBrandes.dependency(g, w)
-      s += cappedRatio(if (w == ri) 0.0 else d(ri), if (w == rj) 0.0 else d(rj))
-      w += 1
-    }
+    while (w < g.n) { s += cappedRatio(t(2 * w), t(2 * w + 1)); w += 1 }
     s / g.n
   }
 
   /** The Eq.-19 expectation E_{π_{r_j}}[ min{1, δ_{w•}(r_i)/δ_{w•}(r_j)} ] —
     * the quantity the Eq.-22 numerator actually converges to (w with
-    * δ_{w•}(r_j) = 0 carry zero π-weight and are skipped).
+    * δ_{w•}(r_j) = 0 carry zero π-weight and are skipped). 0 if BC(r_j) = 0.
     */
   def exactEq19Expectation(g: CSRGraph, ri: Int, rj: Int): Double = {
-    val pj = exactPi(g, rj)
-    var s = 0.0
+    val t = pairTable(g, ri, rj)
+    var bcj = 0.0
     var w = 0
+    while (w < g.n) { bcj += t(2 * w + 1); w += 1 }
+    var s = 0.0
+    w = 0
     while (w < g.n) {
-      if (pj(w) > 0.0) {
-        val d = LocalBrandes.dependency(g, w)
-        s += pj(w) * cappedRatio(if (w == ri) 0.0 else d(ri), d(rj))
-      }
+      val pj = t(2 * w + 1) / bcj // π_{r_j}(w), Eq. 5
+      if (pj > 0.0) s += pj * cappedRatio(t(2 * w), t(2 * w + 1))
       w += 1
     }
     s
@@ -79,13 +83,10 @@ object Estimators {
     * ratio degenerates to 0/0 (a precondition the paper leaves implicit).
     */
   def supportOverlap(g: CSRGraph, ri: Int, rj: Int): Double = {
+    val t = pairTable(g, ri, rj)
     var s = 0.0
     var w = 0
-    while (w < g.n) {
-      val d = LocalBrandes.dependency(g, w)
-      s += math.min(if (w == ri) 0.0 else d(ri), if (w == rj) 0.0 else d(rj))
-      w += 1
-    }
+    while (w < g.n) { s += math.min(t(2 * w), t(2 * w + 1)); w += 1 }
     s
   }
 

@@ -88,8 +88,9 @@ object MHJoint {
     (r0, v0, pr, pv)
   }
 
-  /** Accept/reject walk over a δ table (n × |R|, see [[JointChain.delta]]);
-    * same zero-δ conventions and missing-δ failure as [[MHSingle.walk]].
+  /** Accept/reject walk over a δ table (n × |R|, see [[JointChain.delta]]):
+    * [[MHSingle.walk]]'s loop over the flat states v·|R| + k, so the same
+    * zero-δ conventions and missing-δ failure hold.
     */
   def walk(R: Array[Int], n: Int, seed: Long, r0: Int, v0: Int,
            propsR: Array[Int], propsV: Array[Int],
@@ -98,26 +99,14 @@ object MHJoint {
     require(delta.length == n * width,
       s"delta table has length ${delta.length}, expected n * |R| = $n * $width")
     val T = propsV.length
-    val rnd = new Lcg(seed ^ 0x5DEECE66DL)
+    val props = new Array[Int](T)
+    var t = 0
+    while (t < T) { props(t) = propsV(t) * width + propsR(t); t += 1 }
+    val (states, accepted) = MHSingle.independenceWalk(seed, v0 * width + r0, props, delta, width)
     val statesR = new Array[Int](T + 1)
     val statesV = new Array[Int](T + 1)
-    val accepted = new Array[Boolean](T)
-    statesR(0) = r0; statesV(0) = v0
-    var curR = r0; var curV = v0
-    var dc = delta(v0 * width + r0)
-    if (dc.isNaN) MHSingle.unevaluated(v0)
-    var t = 1
-    while (t <= T) {
-      val pR = propsR(t - 1); val pV = propsV(t - 1)
-      val dp = delta(pV * width + pR)
-      if (dp.isNaN) MHSingle.unevaluated(pV)
-      val ratio = if (dc == 0.0) 1.0 else dp / dc
-      val acc = rnd.nextDouble() < math.min(1.0, ratio)
-      if (acc) { curR = pR; curV = pV; dc = dp }
-      accepted(t - 1) = acc
-      statesR(t) = curR; statesV(t) = curV
-      t += 1
-    }
+    t = 0
+    while (t <= T) { statesR(t) = states(t) % width; statesV(t) = states(t) / width; t += 1 }
     JointChain(R, n, seed, statesR, statesV, propsR, propsV, accepted, delta)
   }
 

@@ -121,19 +121,29 @@ object MHSingle {
   def walk(r: Int, n: Int, seed: Long, v0: Int, proposals: Array[Int],
            delta: Array[Double]): Chain = {
     require(delta.length == n, s"delta column has length ${delta.length}, expected n=$n")
+    val (states, accepted) = independenceWalk(seed, v0, proposals, delta, 1)
+    Chain(r, n, seed, states, proposals, accepted, delta)
+  }
+
+  /** The one Independence-MH accept/reject loop of both samplers, over flat
+    * states s indexing `weight`, which holds `width` entries per source vertex
+    * s / width. Conventions and failure as in [[walk]]; returns (states, accepted).
+    */
+  private[core] def independenceWalk(seed: Long, s0: Int, proposals: Array[Int],
+                                     weight: Array[Double], width: Int): (Array[Int], Array[Boolean]) = {
     val T = proposals.length
     val rnd = new Lcg(seed ^ 0x5DEECE66DL) // separate stream from drawProposals
     val states = new Array[Int](T + 1)
     val accepted = new Array[Boolean](T)
-    states(0) = v0
-    var cur = v0
-    var dc = delta(v0)
-    if (dc.isNaN) unevaluated(v0)
+    states(0) = s0
+    var cur = s0
+    var dc = weight(s0)
+    if (dc.isNaN) unevaluated(s0 / width)
     var t = 1
     while (t <= T) {
       val prop = proposals(t - 1)
-      val dp = delta(prop)
-      if (dp.isNaN) unevaluated(prop)
+      val dp = weight(prop)
+      if (dp.isNaN) unevaluated(prop / width)
       val ratio = if (dc == 0.0) 1.0 else dp / dc
       val acc = rnd.nextDouble() < math.min(1.0, ratio)
       if (acc) { cur = prop; dc = dp }
@@ -141,10 +151,10 @@ object MHSingle {
       states(t) = cur
       t += 1
     }
-    Chain(r, n, seed, states, proposals, accepted, delta)
+    (states, accepted)
   }
 
-  private[core] def unevaluated(v: Int): Nothing =
+  private def unevaluated(v: Int): Nothing =
     throw new NoSuchElementException(s"the dependency of source $v was not evaluated")
 
   /** Run fully locally (exact dependency kernel, one pass per distinct source). */

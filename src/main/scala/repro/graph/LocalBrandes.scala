@@ -117,23 +117,28 @@ object LocalBrandes {
   }
 
   /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
-  def bc(g: CSRGraph): Array[Double] = {
-    val acc = new Array[Double](g.n)
-    var s = 0
-    while (s < g.n) {
-      val d = dependency(g, s)
-      var v = 0
-      while (v < g.n) { acc(v) += d(v); v += 1 }
-      s += 1
-    }
+  def bc(g: CSRGraph): Array[Double] =
+    (0 until g.n).foldLeft(new Array[Double](g.n))((acc, s) => accumulate(acc, dependency(g, s)))
+
+  /** acc(v) += row(v) in vertex order, returning `acc`: every exact-BC path's one accumulation step. */
+  def accumulate(acc: Array[Double], row: Array[Double]): Array[Double] = {
+    var v = 0
+    while (v < acc.length) { acc(v) += row(v); v += 1 }
     acc
+  }
+
+  /** Every vertex of an n-vertex graph, as a source set for [[dependencyTable]]. */
+  def allSources(n: Int): BitSet = {
+    val all = new BitSet(n)
+    all.set(0, n)
+    all
   }
 
   /** All-sources dependency column for one target r: δ_{v•}(r) for every v.
     * Column sum is BC(r). Used to compute exact π_r (Eq. 5) in tests/benches.
     */
   def dependencyColumn(g: CSRGraph, r: Int): Array[Double] =
-    Array.tabulate(g.n)(v => dependencyOn(g, v, r))
+    dependencyTable(g, allSources(g.n), Array(r))
 
   /** Eccentricity-based diameter (exact, all-sources BFS). */
   def diameter(g: CSRGraph): Int =

@@ -28,18 +28,10 @@ object SparkBrandes {
       .mapPartitions { sources =>
         val graph = bg.value
         val acc = new Array[Double](graph.n)
-        sources.foreach { s =>
-          val d = LocalBrandes.dependency(graph, s)
-          var v = 0
-          while (v < graph.n) { acc(v) += d(v); v += 1 }
-        }
+        sources.foreach(s => LocalBrandes.accumulate(acc, LocalBrandes.dependency(graph, s)))
         Iterator.single(acc)
       }
-      .treeReduce { (a, b) =>
-        var i = 0
-        while (i < a.length) { a(i) += b(i); i += 1 }
-        a
-      }
+      .treeReduce(LocalBrandes.accumulate)
     bg.destroy()
     out
   }

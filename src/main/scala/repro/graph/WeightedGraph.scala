@@ -4,20 +4,19 @@ import repro.graphgen.EdgeList
 
 /** CSR adjacency with positive edge weights — the "weighted graphs with
   * positive weights" case the paper's complexity statements cover
-  * (O(|E| + |V| log |V|) per dependency evaluation, §2.1/§4.1).
+  * (O(|E| + |V| log |V|) per dependency evaluation, §2.1/§4.1): an unweighted
+  * [[CSRGraph]] plus one weight per arc, `weights(i)` for the arc to
+  * `csr.neighbors(i)`.
   */
-final class WeightedCSRGraph private (
-    val n: Int,
-    val offsets: Array[Int],
-    val neighbors: Array[Int],
-    val weights: Array[Double]) extends Serializable {
+final class WeightedCSRGraph private (val csr: CSRGraph, val weights: Array[Double])
+    extends Serializable {
 
-  def m: Int = neighbors.length / 2
+  def n: Int = csr.n
 
   @inline def foreachNeighbor(v: Int)(f: (Int, Double) => Unit): Unit = {
-    var i = offsets(v)
-    val end = offsets(v + 1)
-    while (i < end) { f(neighbors(i), weights(i)); i += 1 }
+    var i = csr.offsets(v)
+    val end = csr.offsets(v + 1)
+    while (i < end) { f(csr.neighbors(i), weights(i)); i += 1 }
   }
 }
 
@@ -27,21 +26,15 @@ object WeightedCSRGraph {
     * the canonical (u < v) edge, used for both directions).
     */
   def fromEdges(el: EdgeList, weight: ((Int, Int)) => Double): WeightedCSRGraph = {
-    el.edges.foreach(e => require(weight(e) > 0, s"weight of $e must be positive"))
-    val n = el.n
-    val deg = new Array[Int](n)
-    el.edges.foreach { case (u, v) => deg(u) += 1; deg(v) += 1 }
-    val offsets = new Array[Int](n + 1)
-    (0 until n).foreach(i => offsets(i + 1) = offsets(i) + deg(i))
-    val fill = offsets.clone()
-    val nbr = new Array[Int](offsets(n))
-    val wts = new Array[Double](offsets(n))
-    el.edges.foreach { case e @ (u, v) =>
-      val w = weight(e)
-      nbr(fill(u)) = v; wts(fill(u)) = w; fill(u) += 1
-      nbr(fill(v)) = u; wts(fill(v)) = w; fill(v) += 1
+    val csr = CSRGraph.fromEdges(el)
+    val weights = new Array[Double](csr.neighbors.length)
+    for (v <- 0 until csr.n; i <- csr.offsets(v) until csr.offsets(v + 1)) {
+      val u = csr.neighbors(i)
+      val e = if (v < u) (v, u) else (u, v)
+      weights(i) = weight(e)
+      require(weights(i) > 0, s"weight of $e must be positive")
     }
-    new WeightedCSRGraph(n, offsets, nbr, wts)
+    new WeightedCSRGraph(csr, weights)
   }
 
   /** All weights 1 — must reproduce the unweighted kernels exactly. */
@@ -50,12 +43,20 @@ object WeightedCSRGraph {
 
 /** Brandes machinery for weighted graphs: Dijkstra SPDs with shortest-path
   * counting and the same backward dependency accumulation, settling vertices
-  * in order of nonincreasing distance. Equal-weight ties use an epsilon
-  * comparison to keep σ counting robust to float accumulation.
+  * in order of nonincreasing distance. Distances are compared with a relative
+  * tolerance, so equal-weight ties survive float accumulation at any weight
+  * scale.
   */
 object LocalBrandesWeighted {
 
   private val Eps = 1e-9
+
+  /** The finite distance a equals the distance b up to the relative
+    * tolerance Eps. The +∞ of an unreached b ties nothing, though
+    * |a − ∞| ≤ Eps · ∞ would hold.
+    */
+  private def tied(a: Double, b: Double): Boolean =
+    b != Double.PositiveInfinity && math.abs(a - b) <= Eps * math.max(a, b)
 
   /** Weighted SPD: (dist, sigma, settleOrder). */
   def spd(g: WeightedCSRGraph, s: Int): (Array[Double], Array[Double], Array[Int]) = {
@@ -70,14 +71,14 @@ object LocalBrandesWeighted {
     pq.add((0.0, s))
     while (!pq.isEmpty) {
       val (d, v) = pq.poll()
-      if (!settled(v) && d <= dist(v) + Eps) {
+      if (!settled(v) && (d <= dist(v) || tied(d, dist(v)))) {
         settled(v) = true
         order(nSettled) = v; nSettled += 1
         g.foreachNeighbor(v) { (w, wt) =>
           val nd = dist(v) + wt
-          if (nd < dist(w) - Eps) {
+          if (nd < dist(w) && !tied(nd, dist(w))) {
             dist(w) = nd; sigma(w) = sigma(v); pq.add((nd, w))
-          } else if (math.abs(nd - dist(w)) <= Eps && !settled(w)) {
+          } else if (tied(nd, dist(w)) && !settled(w)) {
             sigma(w) += sigma(v)
           }
         }
@@ -95,7 +96,7 @@ object LocalBrandesWeighted {
       val w = order(i); i -= 1
       val coef = (1.0 + delta(w)) / sigma(w)
       g.foreachNeighbor(w) { (v, wt) =>
-        if (math.abs(dist(v) + wt - dist(w)) <= Eps) delta(v) += sigma(v) * coef
+        if (tied(dist(v) + wt, dist(w))) delta(v) += sigma(v) * coef
       }
     }
     delta(s) = 0.0
@@ -106,15 +107,6 @@ object LocalBrandesWeighted {
     if (v == r) 0.0 else dependency(g, v)(r)
 
   /** Exact weighted betweenness of every vertex (ordered-pair convention). */
-  def bc(g: WeightedCSRGraph): Array[Double] = {
-    val acc = new Array[Double](g.n)
-    var s = 0
-    while (s < g.n) {
-      val d = dependency(g, s)
-      var v = 0
-      while (v < g.n) { acc(v) += d(v); v += 1 }
-      s += 1
-    }
-    acc
-  }
+  def bc(g: WeightedCSRGraph): Array[Double] =
+    (0 until g.n).foldLeft(new Array[Double](g.n))((acc, s) => LocalBrandes.accumulate(acc, dependency(g, s)))
 }

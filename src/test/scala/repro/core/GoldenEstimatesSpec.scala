@@ -30,4 +30,13 @@ class GoldenEstimatesSpec extends AnyFunSuite {
     assertBits("relativeEstimate(0, 1)", chain.relativeEstimate(0, 1), 4603944612983950502L) // 0.6405313433737276
     assertBits("acceptanceRate", chain.acceptanceRate, 4604002877463093838L) // 0.647
   }
+
+  test("exact pairwise estimators on karate, (r_i, r_j) = (0, 33) and (33, 0)") {
+    assertBits("exactRelative(0, 33)", Estimators.exactRelative(karate, 0, 33), 4605188902288900788L) // 0.7786752069387917
+    assertBits("exactRelative(33, 0)", Estimators.exactRelative(karate, 33, 0), 4603632708981182187L) // 0.6059030428391144
+    assertBits("exactEq19Expectation(0, 33)", Estimators.exactEq19Expectation(karate, 0, 33), 4603854704037414118L) // 0.6305494451172791
+    assertBits("exactEq19Expectation(33, 0)", Estimators.exactEq19Expectation(karate, 33, 0), 4601563986844486697L) // 0.43811437403400305
+    assertBits("supportOverlap(0, 33)", Estimators.supportOverlap(karate, 0, 33), 4641327846644454896L) // 202.47142857142853
+    assertBits("theorem3Ratio(0, 33)", Estimators.theorem3Ratio(karate, 0, 33), 4609160556395558599L) // 1.4392347808892951
+  }
 }

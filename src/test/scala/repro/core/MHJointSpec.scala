@@ -164,4 +164,14 @@ class MHJointSpec extends SparkSpec {
     assert(broken.relativeEstimate(0, chain.statesR(0)).isNaN)
     assert(!chain.relativeEstimate(0, chain.statesR(0)).isNaN)
   }
+
+  test("walk fails on a proposal whose delta was not evaluated, naming the vertex") {
+    val R = Array(0, 33, 2)
+    val table = LocalBrandes.dependencyTable(karate, LocalBrandes.allSources(karate.n), R)
+    R.indices.foreach(k => table(5 * R.length + k) = Double.NaN)
+    val e = intercept[NoSuchElementException](
+      MHJoint.walk(R, karate.n, 1L, r0 = 0, v0 = 1, Array(1, 2, 0), Array(2, 5, 3), table))
+    assert(e.getMessage.contains("source 5 was not evaluated"), e.getMessage)
+    assert(!e.getMessage.contains(s"source ${5 * R.length + 2} "), e.getMessage)
+  }
 }

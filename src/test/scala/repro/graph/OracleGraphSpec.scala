@@ -16,9 +16,11 @@ class OracleGraphSpec extends SparkSpec {
   private def round4(x: Double): Double = math.rint(x * 1e4) / 1e4
 
   private def checkBc(name: String, el: EdgeList): Unit = {
-    val g = CSRGraph.fromEdges(el)
-    val bc = LocalBrandes.bc(g)
-    val rows = (0 until g.n).map(v => (v, round4(bc(v))))
+    assertBcAgrees(el, LocalBrandes.bc(CSRGraph.fromEdges(el)))
+  }
+
+  private def assertBcAgrees(el: EdgeList, bc: Array[Double]): Unit = {
+    val rows = (0 until el.n).map(v => (v, round4(bc(v))))
     val df = spark.createDataFrame(rows).toDF("v", "bc")
     Oracle.assertEquivalent(df, TestGraphs.bcSql(TestGraphs.naiveDiameter(el)),
       "edges" -> el.toDF(spark))
@@ -35,6 +37,13 @@ class OracleGraphSpec extends SparkSpec {
 
   for ((name, el) <- TestGraphs.battery)
     test(s"DuckDB SQL betweenness oracle agrees on $name") { checkBc(name, el) }
+
+  test("DuckDB SQL betweenness oracle rejects a BC perturbed by 1 on one vertex") {
+    val el = TestGraphs.battery.toMap.apply("path8")
+    val bc = LocalBrandes.bc(CSRGraph.fromEdges(el))
+    bc(3) += 1.0
+    intercept[IllegalArgumentException](assertBcAgrees(el, bc))
+  }
 
   test("DuckDB SQL betweenness oracle agrees on random connected graphs") {
     TestGraphs.sampleGraphs(8).zipWithIndex.foreach { case (el, i) =>

@@ -156,4 +156,14 @@ class WeightedGraphSpec extends AnyFunSuite {
     val den = (0 until el.n).map(w => cols(0)(w) / bc(0) * capped(cols(1)(w), cols(0)(w))).sum
     assert(approxEq(num / den, bc(0) / bc(33), 1e-7))
   }
+
+  test("weighted BC is unchanged when every weight is scaled by 1e-9, 1e-6, 1e6 or 1e9") {
+    val el = GraphGen.karateClub
+    val bc = LocalBrandesWeighted.bc(WeightedCSRGraph.fromEdges(el, wf))
+    for (scale <- Seq(1e-9, 1e-6, 1e6, 1e9)) {
+      val scaled = LocalBrandesWeighted.bc(WeightedCSRGraph.fromEdges(el, e => scale * wf(e)))
+      (0 until el.n).foreach(v =>
+        assert(approxEq(scaled(v), bc(v)), s"scale $scale BC($v): ${scaled(v)} vs ${bc(v)}"))
+    }
+  }
 }
