@@ -2,16 +2,17 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.core.MHSingle
-import repro.graph.{CSRGraph, SparkBrandes}
+import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.{EdgeList, GraphGen}
 
 /** Shared fixtures and formatting for the table benches (DESIGN.md §5).
   *
   * Heavy per-graph quantities (full dependency columns, exact BC) are
   * computed once per (graph, target) via the distributed source-parallel
-  * Brandes and cached for the whole bench run; individual chains then replay
-  * the O(T) accept/reject walk against the cached column, which is exactly
-  * what [[MHSingle.runSpark]] computes per chain, minus redundant re-BFS.
+  * Brandes and cached for the whole bench run; individual chains then go
+  * through [[MHSingle.sample]] with the cached column as their builder, which
+  * is exactly what [[MHSingle.runSpark]] computes per chain, minus redundant
+  * re-BFS.
   */
 object BenchUtil {
 
@@ -31,7 +32,7 @@ object BenchUtil {
   /** Full dependency column δ_{v•}(r) for all v, distributed, cached. */
   def deltaColumn(spark: SparkSession, name: String, g: CSRGraph, r: Int): Array[Double] =
     columnCache.getOrElseUpdate((name, r),
-      SparkBrandes.dependenciesOnTarget(spark, g, 0 until g.n, r))
+      SparkBrandes.dependencyTable(spark, g, LocalBrandes.allSources(g.n), Array(r)))
 
   /** Exact BC(r) from the cached column. */
   def exactBC(spark: SparkSession, name: String, g: CSRGraph, r: Int): Double =
@@ -41,8 +42,7 @@ object BenchUtil {
   def chain(spark: SparkSession, name: String, g: CSRGraph, r: Int, T: Int,
             seed: Long): repro.core.Chain = {
     val col = deltaColumn(spark, name, g, r)
-    val (v0, props) = MHSingle.drawProposals(g.n, T, seed)
-    MHSingle.walk(r, g.n, seed, v0, props, col)
+    MHSingle.sample(g.n, r, T, seed)(_ => col)
   }
 
   /** Vertex of maximum degree — the "hub" probe. */

@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.MHJoint
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 
 /** T5 — joint-space sampler: Eq.-22 BC-ratio estimates and Eq.-23 relative
   * scores vs chain length (Theorems 3 and 4). The headline number is the
@@ -23,14 +23,12 @@ class T5JointBench extends SparkSpec {
     val (name, el) = BenchUtil.graphs.head
     val g = CSRGraph.fromEdges(el)
     val R = probes(g)
-    val cols = R.map(r => BenchUtil.deltaColumn(spark, name, g, r))
-    val exact = R.indices.map(k => cols(k).sum)
-    val deltaTable = Array.tabulate(g.n * R.length)(i => cols(i % R.length)(i / R.length))
+    val exact = R.map(r => BenchUtil.exactBC(spark, name, g, r))
+    val deltaTable = SparkBrandes.dependencyTable(spark, g, LocalBrandes.allSources(g.n), R)
 
     def meanPairErr(T: Int): Double = {
       val errs = for (s <- 1 to Seeds) yield {
-        val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, g.n, T, 500L * s)
-        val chain = MHJoint.walk(R, g.n, 500L * s, r0, v0, pr, pv, deltaTable)
+        val chain = MHJoint.sample(g.n, R, T, 500L * s)(_ => deltaTable)
         val pairErrs = for {
           i <- R.indices; j <- R.indices if i != j
         } yield {
@@ -59,7 +57,7 @@ class T5JointBench extends SparkSpec {
     val byDeg = (0 until g.n).sortBy(v => -g.degree(v))
     val R = Array(byDeg(0), byDeg(1))
     val cols = R.map(r => BenchUtil.deltaColumn(spark, name, g, r))
-    val deltaTable = Array.tabulate(g.n * R.length)(i => cols(i % R.length)(i / R.length))
+    val deltaTable = SparkBrandes.dependencyTable(spark, g, LocalBrandes.allSources(g.n), R)
 
     // exact Eq.19 expectation and exact Eq.23 uniform average, from columns
     def capped(a: Double, b: Double) = repro.core.Estimators.cappedRatio(a, b)
@@ -70,8 +68,7 @@ class T5JointBench extends SparkSpec {
     def eq23(i: Int, j: Int): Double =
       (0 until g.n).map(w => capped(cols(i)(w), cols(j)(w))).sum / g.n
 
-    val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, g.n, 30000, 77L)
-    val chain = MHJoint.walk(R, g.n, 77L, r0, v0, pr, pv, deltaTable)
+    val chain = MHJoint.sample(g.n, R, 30000, 77L)(_ => deltaTable)
     val rows = for (i <- R.indices; j <- R.indices if i != j) yield {
       val est = chain.relativeEstimate(i, j)
       val e19 = eq19(i, j)

@@ -19,13 +19,12 @@ object RunJointMH {
     try {
       val g = Jobs.csr(args(0))
       val chain = MHJoint.runSpark(spark, g, R, T, seed)
-      val exact = R.map(r =>
-        r -> SparkBrandes.dependenciesOnTarget(spark, g, 0 until g.n, r).sum).toMap
+      val bc = SparkBrandes.bc(spark, g)
       println(s"graph=${args(0)} n=${g.n} m=${g.m} R=${R.mkString(",")} T=$T seed=$seed")
       println(f"acceptanceRate=${chain.acceptanceRate}%.4f")
       for (i <- R.indices; j <- R.indices if i != j) {
         val est = chain.ratioEstimate(i, j)
-        val tru = exact(R(i)) / exact(R(j))
+        val tru = bc(R(i)) / bc(R(j))
         println(f"BC(${R(i)})/BC(${R(j)}): est=$est%.4f exact=$tru%.4f " +
           f"relEst=${chain.relativeEstimate(i, j)}%.4f")
       }

@@ -19,7 +19,7 @@ object RunSingleMH {
     try {
       val g = Jobs.csr(args(0))
       val chain = MHSingle.runSpark(spark, g, r, T, seed)
-      val exact = SparkBrandes.dependenciesOnTarget(spark, g, 0 until g.n, r).sum
+      val exact = SparkBrandes.bc(spark, g)(r)
       println(s"graph=${args(0)} n=${g.n} m=${g.m} r=$r T=$T seed=$seed")
       println(f"acceptanceRate=${chain.acceptanceRate}%.4f")
       println(f"exact BC(r)          = $exact%.4f")

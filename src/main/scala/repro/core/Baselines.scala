@@ -1,11 +1,14 @@
 package repro.core
 
-import scala.util.Random
 import repro.graph.{CSRGraph, LocalBrandes}
 
 /** The competing estimators the paper positions itself against (§3.2). All
   * three are unbiased iid samplers for the ordered-pair betweenness BC(r);
-  * T6 compares them to the MH sampler at equal sample budgets.
+  * T6 compares them to the MH sampler at equal sample budgets. The source
+  * samplers read δ from one [[LocalBrandes.dependencyTable]] over their
+  * distinct draws. On a disconnected graph all three stay unbiased: a vertex
+  * unreachable from r has distance weight 0 (its δ_{v•}(r) is 0), and an RK
+  * pair with no path is a miss.
   */
 object Baselines {
 
@@ -14,12 +17,11 @@ object Baselines {
     */
   def uniformEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     require(k > 0)
-    val rnd = new Random(seed)
+    val rnd = new Lcg(seed)
+    val vs = Array.fill(k)(rnd.nextInt(g.n))
+    val delta = column(g, r, vs)
     var s = 0.0
-    for (_ <- 1 to k) {
-      val v = rnd.nextInt(g.n)
-      s += g.n * LocalBrandes.dependencyOn(g, v, r)
-    }
+    for (v <- vs) s += g.n * delta(v)
     s / k
   }
 
@@ -29,24 +31,29 @@ object Baselines {
   def distanceEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     require(k > 0)
     val (dist, _, _) = LocalBrandes.spd(g, r)
-    val w = dist.map(_.toDouble)
+    val w = dist.map(d => math.max(d, 0).toDouble) // unreachable (−1): weight 0
     val total = w.sum
-    require(total > 0, "distance sampler undefined on a single-vertex graph")
+    require(total > 0, s"distance sampler undefined: no vertex other than r=$r is reachable from it")
     val cum = w.scanLeft(0.0)(_ + _).tail // cum(i) = Σ_{v<=i} w(v)
-    val rnd = new Random(seed)
-    var s = 0.0
-    for (_ <- 1 to k) {
+    val rnd = new Lcg(seed)
+    val vs = Array.fill(k) {
       val u = rnd.nextDouble() * total
       var lo = 0; var hi = g.n - 1
       while (lo < hi) { // first index with cum > u
         val mid = (lo + hi) / 2
         if (cum(mid) > u) hi = mid else lo = mid + 1
       }
-      val v = lo
-      s += LocalBrandes.dependencyOn(g, v, r) * total / w(v)
+      lo
     }
+    val delta = column(g, r, vs)
+    var s = 0.0
+    for (v <- vs) s += delta(v) * total / w(v)
     s / k
   }
+
+  /** δ_{v•}(r) for the distinct draws `vs`, NaN elsewhere. */
+  private def column(g: CSRGraph, r: Int, vs: Array[Int]): Array[Double] =
+    LocalBrandes.dependencyTable(g, LocalBrandes.markSources(g.n, vs(0), vs), Array(r))
 
   /** Riondato–Kornaropoulos shortest-path sampler: draw (s,t) uniformly among
     * ordered pairs s ≠ t, draw one shortest s-t path uniformly by walking
@@ -55,14 +62,14 @@ object Baselines {
     */
   def rkEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     require(k > 0 && g.n >= 2)
-    val rnd = new Random(seed)
+    val rnd = new Lcg(seed)
     var hits = 0
     for (_ <- 1 to k) {
       val s = rnd.nextInt(g.n)
       var t = rnd.nextInt(g.n - 1)
       if (t >= s) t += 1
       val (dist, sigma, _) = LocalBrandes.spd(g, s)
-      var cur = t
+      var cur = if (dist(t) < 0) s else t // no s-t path: a miss
       var onPath = false
       while (cur != s) {
         if (cur != t && cur == r) onPath = true

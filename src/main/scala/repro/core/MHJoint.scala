@@ -119,10 +119,12 @@ object MHJoint {
                seed: Long): JointChain =
     sample(g.n, R, T, seed)(SparkBrandes.dependencyTable(spark, g, _, R))
 
-  /** The one sampler path: draw, mark the distinct sources, build their δ
-    * table with `table`, walk.
+  /** The one seed → chain path: draw, mark the distinct sources, build their
+    * δ table with `table` (n × |R| as in [[JointChain.delta]], every marked
+    * row filled, other rows never read), walk. [[run]]/[[runSpark]] pass the
+    * local/Spark table builder; a caller holding a cached table passes `_ => table`.
     */
-  private def sample(n: Int, R: Array[Int], T: Int, seed: Long)
+  def sample(n: Int, R: Array[Int], T: Int, seed: Long)
                     (table: BitSet => Array[Double]): JointChain = {
     require(R.nonEmpty, "target set R must be non-empty")
     require(R.forall(r => r >= 0 && r < n),

@@ -165,10 +165,12 @@ object MHSingle {
   def runSpark(spark: SparkSession, g: CSRGraph, r: Int, T: Int, seed: Long): Chain =
     sample(g.n, r, T, seed)(SparkBrandes.dependencyTable(spark, g, _, Array(r)))
 
-  /** The one sampler path: draw, mark the distinct sources, build their δ
-    * column with `column`, walk.
+  /** The one seed → chain path: draw, mark the distinct sources, build their
+    * δ column with `column` (length n, δ_{v•}(r) at every marked v, other
+    * entries never read), walk. [[run]]/[[runSpark]] pass the local/Spark
+    * table builder; a caller holding a cached column passes `_ => column`.
     */
-  private def sample(n: Int, r: Int, T: Int, seed: Long)(column: BitSet => Array[Double]): Chain = {
+  def sample(n: Int, r: Int, T: Int, seed: Long)(column: BitSet => Array[Double]): Chain = {
     require(r >= 0 && r < n, s"target r=$r is not a vertex of a graph with n=$n vertices")
     require(T >= 0, s"chain length T=$T must be non-negative")
     val (v0, props) = drawProposals(n, T, seed)

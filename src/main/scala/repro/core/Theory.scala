@@ -57,11 +57,11 @@ object Theory {
   }
 
   /** Theorem 2's hypothesis, operationally: r is a cut vertex and for every
-    * component C_i, the vertices outside C_i are at least `theta·|V|`
-    * (V_i = Θ(|V|) with constant `theta`).
+    * component C_i, the vertices outside C_i are at least |V|/4
+    * (V_i = Θ(|V|) with constant 1/4).
     */
-  def isBalancedSeparator(g: CSRGraph, r: Int, theta: Double = 0.25): Boolean = {
+  def isBalancedSeparator(g: CSRGraph, r: Int): Boolean = {
     val sizes = componentSizes(g, r)
-    sizes.length >= 2 && sizes.forall(ci => (sizes.sum - ci) >= theta * g.n)
+    sizes.length >= 2 && sizes.forall(ci => (sizes.sum - ci) >= 0.25 * g.n)
   }
 }

@@ -29,21 +29,10 @@ final class CSRGraph private (val n: Int, val offsets: Array[Int], val neighbors
   def neighborsOf(v: Int): IndexedSeq[Int] =
     (offsets(v) until offsets(v + 1)).map(neighbors)
 
-  /** BFS reachability check from vertex 0; paper assumes connected graphs. */
-  def isConnected: Boolean = {
-    if (n == 0) return true
-    val seen = new Array[Boolean](n)
-    val queue = new Array[Int](n)
-    var head = 0; var tail = 0
-    seen(0) = true; queue(tail) = 0; tail += 1
-    while (head < tail) {
-      val v = queue(head); head += 1
-      foreachNeighbor(v) { w =>
-        if (!seen(w)) { seen(w) = true; queue(tail) = w; tail += 1 }
-      }
-    }
-    tail == n
-  }
+  /** Every vertex is reachable from vertex 0 (one BFS); the paper assumes
+    * connected graphs.
+    */
+  def isConnected: Boolean = LocalBrandes.spd(this, 0)._3.length == n
 
   /** Connected components of `G \ removed` — the set `C` of Theorem 2. */
   def componentsWithout(removed: Int): Vector[Vector[Int]] = {

@@ -55,10 +55,6 @@ object LocalBrandes {
     delta
   }
 
-  /** δ_{v•}(r): the quantity the MH acceptance ratio (Eq. 6/17) is built on. */
-  def dependencyOn(g: CSRGraph, v: Int, r: Int): Double =
-    if (v == r) 0.0 else dependency(g, v)(r)
-
   /** The distinct vertices of `sources`, as a set over `0 until n`. */
   def markSources(n: Int, sources: IterableOnce[Int]): BitSet = {
     val marked = new BitSet(n)

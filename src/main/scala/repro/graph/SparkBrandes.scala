@@ -82,9 +82,8 @@ object SparkBrandes {
       spark: SparkSession,
       g: CSRGraph,
       sources: Seq[Int],
-      r: Int,
-      numPartitions: Int = 0): Array[Double] =
-    dependencyTable(spark, g, LocalBrandes.markSources(g.n, sources), Array(r), numPartitions)
+      r: Int): Array[Double] =
+    dependencyTable(spark, g, LocalBrandes.markSources(g.n, sources), Array(r))
 
   /** The δ table restricted to `targets` over the distinct vertices of
     * `sources`: one Brandes pass per source yields δ_{v•}(x) for *all* x
@@ -95,7 +94,6 @@ object SparkBrandes {
       spark: SparkSession,
       g: CSRGraph,
       sources: Seq[Int],
-      targets: Array[Int],
-      numPartitions: Int = 0): Array[Double] =
-    dependencyTable(spark, g, LocalBrandes.markSources(g.n, sources), targets, numPartitions)
+      targets: Array[Int]): Array[Double] =
+    dependencyTable(spark, g, LocalBrandes.markSources(g.n, sources), targets)
 }

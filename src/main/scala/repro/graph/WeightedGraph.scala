@@ -103,9 +103,6 @@ object LocalBrandesWeighted {
     delta
   }
 
-  def dependencyOn(g: WeightedCSRGraph, v: Int, r: Int): Double =
-    if (v == r) 0.0 else dependency(g, v)(r)
-
   /** Exact weighted betweenness of every vertex (ordered-pair convention). */
   def bc(g: WeightedCSRGraph): Array[Double] =
     (0 until g.n).foldLeft(new Array[Double](g.n))((acc, s) => LocalBrandes.accumulate(acc, dependency(g, s)))

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CSRGraph, LocalBrandes}
-import repro.graphgen.GraphGen
+import repro.graphgen.{EdgeList, GraphGen}
 
 class BaselinesSpec extends AnyFunSuite {
 
@@ -76,6 +76,23 @@ class BaselinesSpec extends AnyFunSuite {
     val bc = LocalBrandes.bc(g)(0)
     val est = Baselines.rkEstimate(g, 0, 20000, 37L)
     assert(math.abs(est - bc) / bc < 0.15, s"est=$est bc=$bc")
+  }
+
+  // path 0-1-2-3 plus the separate edge 4-5: BC(1) = BC(2) = 4
+  private val pathPlusEdge = CSRGraph.fromEdges(EdgeList(6, GraphGen.path(4).edges :+ ((4, 5))))
+
+  test("distance sampler is unbiased on a disconnected graph (unreachable vertices weigh 0)") {
+    for (r <- Seq(1, 2)) {
+      val mean = (1 to 5).map(s => Baselines.distanceEstimate(pathPlusEdge, r, 20000, s.toLong)).sum / 5
+      assert(math.abs(mean - 4.0) / 4.0 < 0.02, s"r=$r mean=$mean")
+    }
+  }
+
+  test("RK path sampler counts a pair with no path as a miss on a disconnected graph") {
+    for (r <- Seq(1, 2)) {
+      val est = Baselines.rkEstimate(pathPlusEdge, r, 20000, 1L)
+      assert(math.abs(est - 4.0) / 4.0 < 0.1, s"r=$r est=$est")
+    }
   }
 
   test("all three baselines agree with exact BC within 20% at 10k samples (karate v31)") {

@@ -5,8 +5,9 @@ import repro.graph.CSRGraph
 import repro.graphgen.GraphGen
 
 /** Estimates at a fixed seed, pinned bit for bit. The values were taken
-  * before the samplers moved to primitive δ columns; a change to the RNG
-  * stream, the walk or an estimator's summation order fails here.
+  * before the samplers moved to primitive δ columns and before the baselines
+  * moved to `Lcg` and one δ table; a change to the RNG stream, the walk or an
+  * estimator's summation order fails here.
   */
 class GoldenEstimatesSpec extends AnyFunSuite {
 
@@ -38,5 +39,14 @@ class GoldenEstimatesSpec extends AnyFunSuite {
     assertBits("exactEq19Expectation(33, 0)", Estimators.exactEq19Expectation(karate, 33, 0), 4601563986844486697L) // 0.43811437403400305
     assertBits("supportOverlap(0, 33)", Estimators.supportOverlap(karate, 0, 33), 4641327846644454896L) // 202.47142857142853
     assertBits("theorem3Ratio(0, 33)", Estimators.theorem3Ratio(karate, 0, 33), 4609160556395558599L) // 1.4392347808892951
+  }
+
+  test("baselines on karate, r = 0 and 31, k = 2000, seed 1") {
+    assertBits("uniformEstimate(0)", Baselines.uniformEstimate(karate, 0, 2000, 1L), 4646950794429723575L) // 468.57043333333735
+    assertBits("distanceEstimate(0)", Baselines.distanceEstimate(karate, 0, 2000, 1L), 4647037980924457210L) // 473.526411772487
+    assertBits("rkEstimate(0)", Baselines.rkEstimate(karate, 0, 2000, 1L), 4646760896750279459L) // 457.776
+    assertBits("uniformEstimate(31)", Baselines.uniformEstimate(karate, 31, 2000, 1L), 4639435658255747357L) // 148.6921999999985
+    assertBits("distanceEstimate(31)", Baselines.distanceEstimate(karate, 31, 2000, 1L), 4639577795007033868L) // 152.73196944444533
+    assertBits("rkEstimate(31)", Baselines.rkEstimate(karate, 31, 2000, 1L), 4639513654971793932L) // 150.909
   }
 }

@@ -48,7 +48,7 @@ class MHJointSpec extends SparkSpec {
     assert(chain.delta.length == karate.n * R.length)
     for (v <- 0 until karate.n; (r, k) <- R.zipWithIndex) {
       val d = chain.delta(v * R.length + k)
-      if (touched(v)) assert(d == LocalBrandes.dependencyOn(karate, v, r), s"delta_{$v}($r)")
+      if (touched(v)) assert(d == LocalBrandes.dependency(karate, v)(r), s"delta_{$v}($r)")
       else assert(d.isNaN, s"delta_{$v}($r) of an untouched vertex")
     }
   }

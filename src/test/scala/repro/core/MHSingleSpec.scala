@@ -46,7 +46,7 @@ class MHSingleSpec extends SparkSpec {
     val chain = MHSingle.run(karate, 0, 150, 5L)
     val touched = (chain.states ++ chain.proposals).toSet
     (0 until karate.n).foreach { v =>
-      if (touched(v)) assert(chain.delta(v) == LocalBrandes.dependencyOn(karate, v, 0), s"delta($v)")
+      if (touched(v)) assert(chain.delta(v) == LocalBrandes.dependency(karate, v)(0), s"delta($v)")
       else assert(chain.delta(v).isNaN, s"delta($v) of an untouched vertex")
     }
   }
@@ -170,7 +170,7 @@ class MHSingleSpec extends SparkSpec {
     columns.foreach { col =>
       assert(col.length == karate.n)
       assert(col.indices.filterNot(v => col(v).isNaN).toSet == requested.toSet)
-      requested.foreach(v => assert(col(v) == LocalBrandes.dependencyOn(karate, v, 0), s"delta($v)"))
+      requested.foreach(v => assert(col(v) == LocalBrandes.dependency(karate, v)(0), s"delta($v)"))
     }
   }
 

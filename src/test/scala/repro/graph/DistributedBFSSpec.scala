@@ -72,7 +72,7 @@ class DistributedBFSSpec extends SparkSpec {
     val edges = el.toDF(spark)
     for ((v, r) <- Seq((0, 6), (6, 7), (4, 0)))
       assert(approxEq(DistributedBFS.dependencyOn(spark, edges, v, r),
-        LocalBrandes.dependencyOn(g, v, r)), s"delta_{$v}($r)")
+        LocalBrandes.dependency(g, v)(r)), s"delta_{$v}($r)")
     assert(DistributedBFS.dependencyOn(spark, edges, 5, 5) == 0.0)
   }
 }

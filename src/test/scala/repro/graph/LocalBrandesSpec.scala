@@ -131,10 +131,9 @@ class LocalBrandesSpec extends AnyFunSuite {
     }
   }
 
-  test("dependencyOn is the r-entry of the source's dependency vector") {
+  test("a source's dependency on itself is zero") {
     val g = CSRGraph.fromEdges(GraphGen.karateClub)
-    for (v <- Seq(3, 17, 25); r <- Seq(0, 33, 5))
-      assert(LocalBrandes.dependencyOn(g, v, r) == LocalBrandes.dependency(g, v)(r))
-    assert(LocalBrandes.dependencyOn(g, 7, 7) == 0.0)
+    for (v <- Seq(0, 3, 7, 17, 25, 33))
+      assert(LocalBrandes.dependency(g, v)(v) == 0.0, s"delta_{$v}($v)")
   }
 }

@@ -38,7 +38,7 @@ class SparkBrandesSpec extends SparkSpec {
     val out = SparkBrandes.dependenciesOnTarget(spark, g, sources, r = 0)
     assert(out.indices.filterNot(v => out(v).isNaN).toSet == sources.distinct.toSet)
     sources.distinct.foreach { v =>
-      assert(approxEq(out(v), LocalBrandes.dependencyOn(g, v, 0)), s"delta_{$v}(0)")
+      assert(approxEq(out(v), LocalBrandes.dependency(g, v)(0)), s"delta_{$v}(0)")
     }
   }
 
@@ -52,7 +52,7 @@ class SparkBrandesSpec extends SparkSpec {
     val targets = Array(0, 7, 12)
     val out = SparkBrandes.dependenciesOnTargets(spark, g, 0 until g.n, targets)
     for (v <- 0 until g.n; (r, k) <- targets.zipWithIndex) {
-      assert(approxEq(out(v * targets.length + k), LocalBrandes.dependencyOn(g, v, r)),
+      assert(approxEq(out(v * targets.length + k), LocalBrandes.dependency(g, v)(r)),
         s"delta_{$v}($r)")
     }
   }

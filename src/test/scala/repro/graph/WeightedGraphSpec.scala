@@ -137,7 +137,7 @@ class WeightedGraphSpec extends AnyFunSuite {
     val g = WeightedCSRGraph.fromEdges(el, wf)
     val bc = LocalBrandesWeighted.bc(g)
     val r = 0
-    val col = Array.tabulate(el.n)(v => LocalBrandesWeighted.dependencyOn(g, v, r))
+    val col = Array.tabulate(el.n)(v => LocalBrandesWeighted.dependency(g, v)(r))
     assert(approxEq(col.sum, bc(r), 1e-7))
     val (v0, props) = repro.core.MHSingle.drawProposals(el.n, 20000, 51L)
     val chain = repro.core.MHSingle.walk(r, el.n, 51L, v0, props, col)
@@ -150,7 +150,7 @@ class WeightedGraphSpec extends AnyFunSuite {
     val g = WeightedCSRGraph.fromEdges(el, wf)
     val bc = LocalBrandesWeighted.bc(g)
     val cols = Seq(0, 33).map(r =>
-      Array.tabulate(el.n)(v => LocalBrandesWeighted.dependencyOn(g, v, r)))
+      Array.tabulate(el.n)(v => LocalBrandesWeighted.dependency(g, v)(r)))
     def capped(a: Double, b: Double) = repro.core.Estimators.cappedRatio(a, b)
     val num = (0 until el.n).map(w => cols(1)(w) / bc(33) * capped(cols(0)(w), cols(1)(w))).sum
     val den = (0 until el.n).map(w => cols(0)(w) / bc(0) * capped(cols(1)(w), cols(0)(w))).sum
