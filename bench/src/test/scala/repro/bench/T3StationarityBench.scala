@@ -16,9 +16,7 @@ class T3StationarityBench extends SparkSpec {
   private val checkpoints = Seq(500, 2000, 10000, 50000)
 
   private def tvRow(name: String, g: CSRGraph, r: Int, kind: String): Seq[String] = {
-    val col = BenchUtil.deltaColumn(spark, name, g, r)
-    val bc = col.sum
-    val pi = col.map(_ / bc)
+    val pi = Estimators.exactPi(BenchUtil.deltaColumn(spark, name, g, r))
     val chain = BenchUtil.chain(spark, name, g, r, checkpoints.max, 99L)
     val tvs = checkpoints.map { t =>
       Estimators.tvDistance(Estimators.empiricalDist(chain.states.take(t + 1), g.n), pi)
@@ -44,8 +42,7 @@ class T3StationarityBench extends SparkSpec {
 
   test("T3b: on karate the chain TV drops below 0.05 by T=50000") {
     val g = CSRGraph.fromEdges(GraphGen.karateClub)
-    val col = BenchUtil.deltaColumn(spark, "karate", g, 0)
-    val pi = col.map(_ / col.sum)
+    val pi = Estimators.exactPi(BenchUtil.deltaColumn(spark, "karate", g, 0))
     val chain = BenchUtil.chain(spark, "karate", g, 0, 50000, 123L)
     val tv = Estimators.tvDistance(Estimators.empiricalDist(chain.states, g.n), pi)
     assert(tv < 0.05, s"TV=$tv")

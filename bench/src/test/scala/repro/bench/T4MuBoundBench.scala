@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Theory
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, LocalBrandes}
 import repro.graphgen.GraphGen
 
 /** T4 — μ(r) and the Eq.-14 sample bound by vertex position (Theorem 2:
@@ -25,8 +25,8 @@ class T4MuBoundBench extends SparkSpec {
       ("path(1000)", path, 500, "middle"),
       ("path(1000)", path, 1, "end-adjacent"),
     )
-    val rows = probes.map { case (name, g, r, kind) =>
-      val mu = Theory.mu(g, r)
+    val mus = probes.map { case (_, g, r, _) => Theory.mu(LocalBrandes.dependencyColumn(g, r)) }
+    val rows = probes.zip(mus).map { case ((name, g, r, kind), mu) =>
       val bound = Theory.sampleBound(mu, eps, delta)
       val sep = Theory.isBalancedSeparator(g, r)
       val closed = Theory.theorem2Mu(g, r).map(BenchUtil.f(_, 3)).getOrElse("-")
@@ -39,19 +39,19 @@ class T4MuBoundBench extends SparkSpec {
         "T >= (Eq.14)"), rows))
 
     // shape assertions
-    val muSep = Theory.mu(dc, 1000)
+    val muSep = mus.head
     assert(muSep < 2.5, s"separator mu should be Θ(1): $muSep")
-    val muEnd = Theory.mu(path, 1)
+    val muEnd = mus.last
     assert(muEnd > 50, s"peripheral path vertex should have large mu: $muEnd")
     assert(Theory.sampleBound(muSep, eps, delta) < Theory.sampleBound(muEnd, eps, delta))
   }
 
   test("T4b: Theorem 2 — separator mu is flat in |V| while peripheral mu grows") {
     val seps = Seq(125, 250, 500, 1000).map { k =>
-      Theory.mu(CSRGraph.fromEdges(GraphGen.doubleClique(k)), 2 * k)
+      Theory.mu(LocalBrandes.dependencyColumn(CSRGraph.fromEdges(GraphGen.doubleClique(k)), 2 * k))
     }
     val ends = Seq(125, 250, 500, 1000).map { n =>
-      Theory.mu(CSRGraph.fromEdges(GraphGen.path(n)), 1)
+      Theory.mu(LocalBrandes.dependencyColumn(CSRGraph.fromEdges(GraphGen.path(n)), 1))
     }
     println(BenchUtil.table("T4b: mu vs graph size",
       Seq("|V| scale", "mu(separator, 2Clique(k))", "mu(end-adjacent, path(n))"),

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.MHJoint
+import repro.core.{Estimators, MHJoint}
 import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 
 /** T5 — joint-space sampler: Eq.-22 BC-ratio estimates and Eq.-23 relative
@@ -59,20 +59,11 @@ class T5JointBench extends SparkSpec {
     val cols = R.map(r => BenchUtil.deltaColumn(spark, name, g, r))
     val deltaTable = SparkBrandes.dependencyTable(spark, g, LocalBrandes.allSources(g.n), R)
 
-    // exact Eq.19 expectation and exact Eq.23 uniform average, from columns
-    def capped(a: Double, b: Double) = repro.core.Estimators.cappedRatio(a, b)
-    def eq19(i: Int, j: Int): Double = {
-      val bcj = cols(j).sum
-      (0 until g.n).map(w => cols(j)(w) / bcj * capped(cols(i)(w), cols(j)(w))).sum
-    }
-    def eq23(i: Int, j: Int): Double =
-      (0 until g.n).map(w => capped(cols(i)(w), cols(j)(w))).sum / g.n
-
     val chain = MHJoint.sample(g.n, R, 30000, 77L)(_ => deltaTable)
     val rows = for (i <- R.indices; j <- R.indices if i != j) yield {
       val est = chain.relativeEstimate(i, j)
-      val e19 = eq19(i, j)
-      val e23 = eq23(i, j)
+      val e19 = Estimators.exactEq19Expectation(cols(i), cols(j))
+      val e23 = Estimators.exactRelative(cols(i), cols(j))
       assert(math.abs(est - e19) < 0.1, s"($i,$j): est=$est eq19=$e19")
       Seq(s"BC_{${R(j)}}(${R(i)})", BenchUtil.f(est, 4), BenchUtil.f(e19, 4),
         BenchUtil.f(e23, 4))
@@ -89,12 +80,10 @@ class T5JointBench extends SparkSpec {
     val byDeg = (0 until g.n).sortBy(v => -g.degree(v))
     val R = Array(byDeg(0), byDeg(5), byDeg(50))
     val cols = R.map(r => BenchUtil.deltaColumn(spark, name, g, r))
-    def capped(a: Double, b: Double) = repro.core.Estimators.cappedRatio(a, b)
     for (i <- R.indices; j <- R.indices if i != j) {
       val bci = cols(i).sum; val bcj = cols(j).sum
-      val num = (0 until g.n).map(w => cols(j)(w) / bcj * capped(cols(i)(w), cols(j)(w))).sum
-      val den = (0 until g.n).map(w => cols(i)(w) / bci * capped(cols(j)(w), cols(i)(w))).sum
-      assert(math.abs(num / den - bci / bcj) < 1e-9 * (bci / bcj),
+      val ratio = Estimators.theorem3Ratio(cols(i), cols(j))
+      assert(math.abs(ratio - bci / bcj) < 1e-9 * (bci / bcj),
         s"pair (${R(i)},${R(j)})")
     }
   }

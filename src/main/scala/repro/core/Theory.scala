@@ -1,18 +1,18 @@
 package repro.core
 
-import repro.graph.{CSRGraph, LocalBrandes}
+import repro.graph.CSRGraph
 
 /** The analytical side of the paper: μ(r) (Inequality 11), the (ε,δ) sample
   * bounds (Eq. 14 / Eq. 27), and the Theorem-2 closed form for cut vertices.
   */
 object Theory {
 
-  /** μ(r) = max_v δ_{v•}(r) / δ̄(r), with δ̄(r) the average over *all* of
-    * V(G) (Theorem 1's definition). Returns ∞ if BC(r) = 0.
+  /** μ(r) = max_v δ_{v•}(r) / δ̄(r) from the all-sources δ column of r, with
+    * δ̄(r) the average over *all* of V(G) (Theorem 1's definition). Returns ∞
+    * if BC(r) = 0.
     */
-  def mu(g: CSRGraph, r: Int): Double = {
-    val col = LocalBrandes.dependencyColumn(g, r)
-    val mean = col.sum / g.n
+  def mu(col: Array[Double]): Double = {
+    val mean = col.sum / col.length
     if (mean == 0.0) Double.PositiveInfinity else col.max / mean
   }
 

@@ -104,12 +104,23 @@ object LocalBrandes {
 
   /** One row of a dependency table: `out(offset + k)` = δ_{v•}(targets(k)),
     * all from a single Brandes pass from v.
+    *
+    * @throws ArithmeticException if an entry is not finite (σ overflows
+    *   `Double` on graphs with very many shortest paths), which NaN would
+    *   otherwise pass off as "not evaluated"
     */
   private[graph] def dependencyRow(g: CSRGraph, v: Int, targets: Array[Int], out: Array[Double],
                     offset: Int): Unit = {
     val d = dependency(g, v)
     var k = 0
-    while (k < targets.length) { out(offset + k) = d(targets(k)); k += 1 }
+    while (k < targets.length) {
+      val x = d(targets(k))
+      if (!java.lang.Double.isFinite(x))
+        throw new ArithmeticException(s"the dependency of source $v on target ${targets(k)} is $x: " +
+          "the shortest-path counts σ overflow Double")
+      out(offset + k) = x
+      k += 1
+    }
   }
 
   /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
@@ -131,7 +142,8 @@ object LocalBrandes {
   }
 
   /** All-sources dependency column for one target r: δ_{v•}(r) for every v.
-    * Column sum is BC(r). Used to compute exact π_r (Eq. 5) in tests/benches.
+    * Column sum is BC(r). The exact quantities of `Estimators` and
+    * `Theory.mu` read columns of this form.
     */
   def dependencyColumn(g: CSRGraph, r: Int): Array[Double] =
     dependencyTable(g, allSources(g.n), Array(r))

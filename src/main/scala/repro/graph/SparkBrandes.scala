@@ -2,6 +2,7 @@ package repro.graph
 
 import java.util.BitSet
 import scala.collection.immutable.ArraySeq
+import scala.reflect.ClassTag
 import org.apache.spark.sql.SparkSession
 
 /** Source-parallel exact Brandes on Spark (RDD layer).
@@ -16,25 +17,16 @@ import org.apache.spark.sql.SparkSession
   */
 object SparkBrandes {
 
-  /** Exact BC of every vertex: Σ over sources of the dependency vector,
-    * reduced as dense arrays.
+  /** Exact BC of every vertex: each task sums the dependency vectors of its
+    * sources, and the driver sums the per-partition sums in partition order,
+    * so repeated calls at one partition count are bit-identical.
     */
-  def bc(spark: SparkSession, g: CSRGraph, numPartitions: Int = 0): Array[Double] = {
-    val sc = spark.sparkContext
-    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
-    val bg = sc.broadcast(g)
-    val out = sc
-      .parallelize(0 until g.n, math.min(parts, g.n))
-      .mapPartitions { sources =>
-        val graph = bg.value
-        val acc = new Array[Double](graph.n)
-        sources.foreach(s => LocalBrandes.accumulate(acc, LocalBrandes.dependency(graph, s)))
-        Iterator.single(acc)
-      }
-      .treeReduce(LocalBrandes.accumulate)
-    bg.destroy()
-    out
-  }
+  def bc(spark: SparkSession, g: CSRGraph, numPartitions: Int = 0): Array[Double] =
+    perPartition(spark, g, Array.range(0, g.n), numPartitions) { (graph, sources) =>
+      val acc = new Array[Double](graph.n)
+      sources.foreach(s => LocalBrandes.accumulate(acc, LocalBrandes.dependency(graph, s)))
+      acc
+    }.foldLeft(new Array[Double](g.n))(LocalBrandes.accumulate)
 
   /** [[LocalBrandes.dependencyTable]] as one distributed job: the marked
     * sources are split over `numPartitions` tasks (default: the session's
@@ -51,28 +43,36 @@ object SparkBrandes {
     val table = LocalBrandes.emptyTable(g.n, targets)
     val ids = sources.stream().toArray
     if (ids.nonEmpty) {
-      val sc = spark.sparkContext
       val k = targets.length
-      val parts = math.min(if (numPartitions > 0) numPartitions else sc.defaultParallelism, ids.length)
-      val bg = sc.broadcast(g)
-      val batches = try {
-        sc.parallelize(ArraySeq.unsafeWrapArray(ids), parts)
-          .mapPartitions { vs =>
-            val graph = bg.value
-            val batch = vs.toArray
-            val rows = new Array[Double](batch.length * k)
-            var i = 0
-            while (i < batch.length) { LocalBrandes.dependencyRow(graph, batch(i), targets, rows, i * k); i += 1 }
-            Iterator.single((batch, rows))
-          }
-          .collect()
-      } finally bg.destroy()
+      val batches = perPartition(spark, g, ids, numPartitions) { (graph, vs) =>
+        val batch = vs.toArray
+        val rows = new Array[Double](batch.length * k)
+        var i = 0
+        while (i < batch.length) { LocalBrandes.dependencyRow(graph, batch(i), targets, rows, i * k); i += 1 }
+        (batch, rows)
+      }
       batches.foreach { case (batch, rows) =>
         var i = 0
         while (i < batch.length) { System.arraycopy(rows, i * k, table, batch(i) * k, k); i += 1 }
       }
     }
     table
+  }
+
+  /** The one job shape of both calls above: broadcast `g`, run `task` once
+    * per partition of `sources` (split into `numPartitions` tasks, default:
+    * the session's parallelism), and collect the results in partition order.
+    * The broadcast is destroyed even if the job fails.
+    */
+  private def perPartition[T: ClassTag](spark: SparkSession, g: CSRGraph, sources: Array[Int],
+                                        numPartitions: Int)(task: (CSRGraph, Iterator[Int]) => T): Array[T] = {
+    val sc = spark.sparkContext
+    val parts = math.min(if (numPartitions > 0) numPartitions else sc.defaultParallelism, sources.length)
+    val bg = sc.broadcast(g)
+    try sc.parallelize(ArraySeq.unsafeWrapArray(sources), parts)
+      .mapPartitions(vs => Iterator.single(task(bg.value, vs)))
+      .collect()
+    finally bg.destroy()
   }
 
   /** The δ column δ_{v•}(r) over the distinct vertices of `sources` (NaN

@@ -2,7 +2,6 @@ package repro.graphgen
 
 import scala.collection.mutable
 import scala.util.Random
-import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** An undirected, simple, loop-free graph as a canonical edge list.
   *
@@ -19,12 +18,6 @@ final case class EdgeList(n: Int, edges: Vector[(Int, Int)]) {
   require(edges == edges.distinct.sorted, "edges must be sorted and distinct")
 
   def numEdges: Int = edges.size
-
-  /** Edge list as a two-column DataFrame `(src, dst)`, one row per undirected edge. */
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    edges.toDF("src", "dst")
-  }
 }
 
 /** Deterministic synthetic graph generators.

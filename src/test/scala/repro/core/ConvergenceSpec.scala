@@ -58,7 +58,7 @@ class ConvergenceSpec extends AnyFunSuite {
     val g = CSRGraph.fromEdges(GraphGen.doubleClique(15))
     val R = Array(30, 0) // separator, attachment
     val chain = MHJoint.run(g, R, 30000, 17L)
-    val eq19 = Estimators.exactEq19Expectation(g, 30, 0)
+    val eq19 = Estimators.exactEq19Expectation(LocalBrandes.dependencyColumn(g, 30), LocalBrandes.dependencyColumn(g, 0))
     assert(math.abs(chain.relativeEstimate(0, 1) - eq19) < 0.05)
   }
 

@@ -10,25 +10,29 @@ class EstimatorsSpec extends AnyFunSuite {
   private def approxEq(a: Double, b: Double, tol: Double = 1e-9): Boolean =
     math.abs(a - b) <= tol * math.max(1.0, math.max(math.abs(a), math.abs(b)))
 
+  /** The all-sources δ column of each r in `rs`, built once per graph. */
+  private def columns(g: CSRGraph, rs: Seq[Int]): Map[Int, Array[Double]] =
+    rs.map(r => r -> LocalBrandes.dependencyColumn(g, r)).toMap
+
   test("exactPi sums to 1 when BC(r) > 0") {
     TestGraphs.battery.foreach { case (name, el) =>
       val g = CSRGraph.fromEdges(el)
       val bc = LocalBrandes.bc(g)
       for (r <- 0 until g.n if bc(r) > 0)
-        assert(approxEq(Estimators.exactPi(g, r).sum, 1.0), s"$name pi($r)")
+        assert(approxEq(Estimators.exactPi(LocalBrandes.dependencyColumn(g, r)).sum, 1.0), s"$name pi($r)")
     }
   }
 
   test("exactPi is all-zero when BC(r) = 0 (complete graph, star leaf)") {
     val k = CSRGraph.fromEdges(GraphGen.complete(6))
-    assert(Estimators.exactPi(k, 0).forall(_ == 0.0))
+    assert(Estimators.exactPi(LocalBrandes.dependencyColumn(k, 0)).forall(_ == 0.0))
     val s = CSRGraph.fromEdges(GraphGen.star(8))
-    assert(Estimators.exactPi(s, 3).forall(_ == 0.0))
+    assert(Estimators.exactPi(LocalBrandes.dependencyColumn(s, 3)).forall(_ == 0.0))
   }
 
   test("exactPi on star center is uniform over leaves") {
     val g = CSRGraph.fromEdges(GraphGen.star(9))
-    val pi = Estimators.exactPi(g, 0)
+    val pi = Estimators.exactPi(LocalBrandes.dependencyColumn(g, 0))
     assert(pi(0) == 0.0)
     (1 until 9).foreach(v => assert(approxEq(pi(v), 1.0 / 8)))
   }
@@ -58,14 +62,16 @@ class EstimatorsSpec extends AnyFunSuite {
   test("exactRelative(r, r) equals support fraction of delta(r)") {
     val g = CSRGraph.fromEdges(GraphGen.star(10))
     // delta_{v.}(center) > 0 exactly for the 9 leaves
-    assert(approxEq(Estimators.exactRelative(g, 0, 0), 9.0 / 10))
+    val col = LocalBrandes.dependencyColumn(g, 0)
+    assert(approxEq(Estimators.exactRelative(col, col), 9.0 / 10))
   }
 
   test("exactRelative lies in [0, 1]") {
     TestGraphs.sampleGraphs(8).foreach { el =>
       val g = CSRGraph.fromEdges(el)
+      val cols = columns(g, 0 until g.n)
       for (ri <- 0 until g.n; rj <- 0 until g.n) {
-        val x = Estimators.exactRelative(g, ri, rj)
+        val x = Estimators.exactRelative(cols(ri), cols(rj))
         assert(x >= 0.0 && x <= 1.0, s"relative($ri,$rj)=$x")
       }
     }
@@ -73,8 +79,9 @@ class EstimatorsSpec extends AnyFunSuite {
 
   test("exactEq19Expectation lies in [0, 1]") {
     val g = CSRGraph.fromEdges(GraphGen.karateClub)
+    val cols = columns(g, Seq(0, 2, 33))
     for (ri <- Seq(0, 2, 33); rj <- Seq(0, 2, 33)) {
-      val x = Estimators.exactEq19Expectation(g, ri, rj)
+      val x = Estimators.exactEq19Expectation(cols(ri), cols(rj))
       assert(x >= 0.0 && x <= 1.0)
     }
   }
@@ -84,9 +91,10 @@ class EstimatorsSpec extends AnyFunSuite {
       val g = CSRGraph.fromEdges(el)
       val bc = LocalBrandes.bc(g)
       val cands = (0 until g.n).filter(bc(_) > 0)
+      val cols = columns(g, cands.take(3) ++ cands.takeRight(3))
       for (ri <- cands.take(3); rj <- cands.takeRight(3)
-           if ri != rj && Estimators.supportOverlap(g, ri, rj) > 0) {
-        val lhs = Estimators.theorem3Ratio(g, ri, rj)
+           if ri != rj && Estimators.supportOverlap(cols(ri), cols(rj)) > 0) {
+        val lhs = Estimators.theorem3Ratio(cols(ri), cols(rj))
         val rhs = bc(ri) / bc(rj)
         assert(approxEq(lhs, rhs, 1e-9), s"$name ratio($ri,$rj): $lhs vs $rhs")
       }
@@ -98,10 +106,11 @@ class EstimatorsSpec extends AnyFunSuite {
       val g = CSRGraph.fromEdges(el)
       val bc = LocalBrandes.bc(g)
       val cands = (0 until g.n).filter(bc(_) > 0)
+      val cols = columns(g, cands)
       for {
         ri <- cands; rj <- cands
-        if ri < rj && Estimators.supportOverlap(g, ri, rj) > 0
-      } assert(approxEq(Estimators.theorem3Ratio(g, ri, rj), bc(ri) / bc(rj), 1e-9))
+        if ri < rj && Estimators.supportOverlap(cols(ri), cols(rj)) > 0
+      } assert(approxEq(Estimators.theorem3Ratio(cols(ri), cols(rj)), bc(ri) / bc(rj), 1e-9))
     }
   }
 
@@ -111,13 +120,14 @@ class EstimatorsSpec extends AnyFunSuite {
     val el = TestGraphs.battery.toMap.apply("er12")
     val g = CSRGraph.fromEdges(el)
     val bc = LocalBrandes.bc(g)
+    val cols = columns(g, 0 until g.n)
     val disjoint = for {
       ri <- 0 until g.n; rj <- 0 until g.n
       if ri < rj && bc(ri) > 0 && bc(rj) > 0 &&
-        Estimators.supportOverlap(g, ri, rj) == 0.0
+        Estimators.supportOverlap(cols(ri), cols(rj)) == 0.0
     } yield (ri, rj)
     disjoint.foreach { case (ri, rj) =>
-      assert(Estimators.theorem3Ratio(g, ri, rj).isNaN)
+      assert(Estimators.theorem3Ratio(cols(ri), cols(rj)).isNaN)
     }
   }
 

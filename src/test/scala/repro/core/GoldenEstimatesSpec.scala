@@ -1,13 +1,13 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, LocalBrandes}
 import repro.graphgen.GraphGen
 
 /** Estimates at a fixed seed, pinned bit for bit. The values were taken
-  * before the samplers moved to primitive δ columns and before the baselines
-  * moved to `Lcg` and one δ table; a change to the RNG stream, the walk or an
-  * estimator's summation order fails here.
+  * before the samplers moved to primitive δ columns, the baselines to `Lcg`
+  * and one δ table, and the exact quantities to δ-column arguments; a change
+  * to the RNG stream, the walk or an estimator's summation order fails here.
   */
 class GoldenEstimatesSpec extends AnyFunSuite {
 
@@ -33,12 +33,17 @@ class GoldenEstimatesSpec extends AnyFunSuite {
   }
 
   test("exact pairwise estimators on karate, (r_i, r_j) = (0, 33) and (33, 0)") {
-    assertBits("exactRelative(0, 33)", Estimators.exactRelative(karate, 0, 33), 4605188902288900788L) // 0.7786752069387917
-    assertBits("exactRelative(33, 0)", Estimators.exactRelative(karate, 33, 0), 4603632708981182187L) // 0.6059030428391144
-    assertBits("exactEq19Expectation(0, 33)", Estimators.exactEq19Expectation(karate, 0, 33), 4603854704037414118L) // 0.6305494451172791
-    assertBits("exactEq19Expectation(33, 0)", Estimators.exactEq19Expectation(karate, 33, 0), 4601563986844486697L) // 0.43811437403400305
-    assertBits("supportOverlap(0, 33)", Estimators.supportOverlap(karate, 0, 33), 4641327846644454896L) // 202.47142857142853
-    assertBits("theorem3Ratio(0, 33)", Estimators.theorem3Ratio(karate, 0, 33), 4609160556395558599L) // 1.4392347808892951
+    val c0 = LocalBrandes.dependencyColumn(karate, 0)
+    val c33 = LocalBrandes.dependencyColumn(karate, 33)
+    assertBits("exactRelative(0, 33)", Estimators.exactRelative(c0, c33), 4605188902288900788L) // 0.7786752069387917
+    assertBits("exactRelative(33, 0)", Estimators.exactRelative(c33, c0), 4603632708981182187L) // 0.6059030428391144
+    assertBits("exactEq19Expectation(0, 33)", Estimators.exactEq19Expectation(c0, c33), 4603854704037414118L) // 0.6305494451172791
+    assertBits("exactEq19Expectation(33, 0)", Estimators.exactEq19Expectation(c33, c0), 4601563986844486697L) // 0.43811437403400305
+    assertBits("supportOverlap(0, 33)", Estimators.supportOverlap(c0, c33), 4641327846644454896L) // 202.47142857142853
+    assertBits("theorem3Ratio(0, 33)", Estimators.theorem3Ratio(c0, c33), 4609160556395558599L) // 1.4392347808892951
+    assertBits("mu(0)", Theory.mu(c0), 4612483719381478566L) // 2.354250386398763
+    assertBits("mu(33)", Theory.mu(c33), 4614205937087867371L) // 3.1190686868187547
+    assertBits("exactPi(0).max", Estimators.exactPi(c0).max, 4589653880033951900L) // 0.06924265842349303
   }
 
   test("baselines on karate, r = 0 and 31, k = 2000, seed 1") {

@@ -86,7 +86,8 @@ class MHJointSpec extends SparkSpec {
     val R = Array(0, 33)
     val chain = MHJoint.run(karate, R, 40000, 29L)
     val est = chain.relativeEstimate(0, 1)
-    val eq19 = Estimators.exactEq19Expectation(karate, 0, 33)
+    val eq19 = Estimators.exactEq19Expectation(
+      LocalBrandes.dependencyColumn(karate, 0), LocalBrandes.dependencyColumn(karate, 33))
     assert(math.abs(est - eq19) < 0.05, s"est=$est eq19=$eq19")
   }
 
@@ -96,7 +97,7 @@ class MHJointSpec extends SparkSpec {
     val idx = chain.sampleIndices(0)
     val states = idx.map(chain.statesV).toArray
     val tv = Estimators.tvDistance(
-      Estimators.empiricalDist(states, karate.n), Estimators.exactPi(karate, 0))
+      Estimators.empiricalDist(states, karate.n), Estimators.exactPi(LocalBrandes.dependencyColumn(karate, 0)))
     assert(tv < 0.15, s"TV=$tv")
   }
 

@@ -113,7 +113,7 @@ class MHSingleSpec extends SparkSpec {
   }
 
   test("empirical state distribution approaches exact pi (TV decreases)") {
-    val pi = Estimators.exactPi(karate, 0)
+    val pi = Estimators.exactPi(LocalBrandes.dependencyColumn(karate, 0))
     def tv(t: Int): Double = {
       val chain = MHSingle.run(karate, 0, t, 31L)
       Estimators.tvDistance(Estimators.empiricalDist(chain.states, karate.n), pi)

@@ -14,12 +14,12 @@ class TheorySpec extends AnyFunSuite {
     val n = 10
     val g = CSRGraph.fromEdges(GraphGen.star(n))
     // max delta = n-2 (each leaf), mean over all n vertices = (n-1)(n-2)/n
-    assert(approxEq(Theory.mu(g, 0), n / (n - 1.0)))
+    assert(approxEq(Theory.mu(LocalBrandes.dependencyColumn(g, 0)), n / (n - 1.0)))
   }
 
   test("mu is infinite when BC(r) = 0") {
     val g = CSRGraph.fromEdges(GraphGen.complete(5))
-    assert(Theory.mu(g, 0).isPosInfinity)
+    assert(Theory.mu(LocalBrandes.dependencyColumn(g, 0)).isPosInfinity)
   }
 
   test("mu >= 1 whenever finite (max >= mean)") {
@@ -27,7 +27,7 @@ class TheorySpec extends AnyFunSuite {
       val g = CSRGraph.fromEdges(el)
       val bc = LocalBrandes.bc(g)
       for (r <- 0 until g.n if bc(r) > 0)
-        assert(Theory.mu(g, r) >= 1.0 - 1e-12, s"$name mu($r)")
+        assert(Theory.mu(LocalBrandes.dependencyColumn(g, r)) >= 1.0 - 1e-12, s"$name mu($r)")
     }
   }
 
@@ -36,9 +36,9 @@ class TheorySpec extends AnyFunSuite {
       val g = CSRGraph.fromEdges(GraphGen.doubleClique(k))
       val r = 2 * k
       val closed = Theory.theorem2Mu(g, r)
+      val direct = Theory.mu(LocalBrandes.dependencyColumn(g, r))
       assert(closed.isDefined)
-      assert(approxEq(closed.get, Theory.mu(g, r)),
-        s"k=$k closed=${closed.get} direct=${Theory.mu(g, r)}")
+      assert(approxEq(closed.get, direct), s"k=$k closed=${closed.get} direct=$direct")
     }
   }
 
@@ -99,15 +99,15 @@ class TheorySpec extends AnyFunSuite {
 
   test("Theorem 2 shape: separator mu stays constant as the graph doubles") {
     val mus = Seq(10, 20, 40, 80).map { k =>
-      Theory.mu(CSRGraph.fromEdges(GraphGen.doubleClique(k)), 2 * k)
+      Theory.mu(LocalBrandes.dependencyColumn(CSRGraph.fromEdges(GraphGen.doubleClique(k)), 2 * k))
     }
     // constant in |V|: spread across a 8x size range stays within 10%
     assert(mus.max / mus.min < 1.1, s"mus=$mus")
   }
 
   test("contrast: a path-end-adjacent vertex has mu growing with n") {
-    val muSmall = Theory.mu(CSRGraph.fromEdges(GraphGen.path(16)), 1)
-    val muBig = Theory.mu(CSRGraph.fromEdges(GraphGen.path(128)), 1)
+    val muSmall = Theory.mu(LocalBrandes.dependencyColumn(CSRGraph.fromEdges(GraphGen.path(16)), 1))
+    val muBig = Theory.mu(LocalBrandes.dependencyColumn(CSRGraph.fromEdges(GraphGen.path(128)), 1))
     assert(muBig > 2 * muSmall, s"mu should grow: $muSmall -> $muBig")
   }
 }

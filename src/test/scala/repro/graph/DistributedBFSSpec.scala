@@ -12,7 +12,7 @@ class DistributedBFSSpec extends SparkSpec {
   private def checkSpd(name: String, el: repro.graphgen.EdgeList, source: Int): Unit = {
     val g = CSRGraph.fromEdges(el)
     val (dist, sigma, _) = LocalBrandes.spd(g, source)
-    val rows = DistributedBFS.spd(spark, el.toDF(spark), source).collect()
+    val rows = DistributedBFS.spd(spark, TestGraphs.edgesDF(spark, el), source).collect()
     assert(rows.length == g.n, s"$name: SPD should cover all vertices")
     rows.foreach { r =>
       val v = r.getInt(0)
@@ -24,7 +24,7 @@ class DistributedBFSSpec extends SparkSpec {
   private def checkDependency(name: String, el: repro.graphgen.EdgeList, source: Int): Unit = {
     val g = CSRGraph.fromEdges(el)
     val loc = LocalBrandes.dependency(g, source)
-    val edges = el.toDF(spark)
+    val edges = TestGraphs.edgesDF(spark, el)
     val spd = DistributedBFS.spd(spark, edges, source)
     val rows = DistributedBFS.dependency(spark, edges, spd).collect()
     assert(rows.length == g.n)
@@ -69,7 +69,7 @@ class DistributedBFSSpec extends SparkSpec {
   test("dependencyOn end-to-end equals local dependencyOn") {
     val el = GraphGen.barbell(3, 2)
     val g = CSRGraph.fromEdges(el)
-    val edges = el.toDF(spark)
+    val edges = TestGraphs.edgesDF(spark, el)
     for ((v, r) <- Seq((0, 6), (6, 7), (4, 0)))
       assert(approxEq(DistributedBFS.dependencyOn(spark, edges, v, r),
         LocalBrandes.dependency(g, v)(r)), s"delta_{$v}($r)")

@@ -55,8 +55,8 @@ class IdentitiesSpec extends AnyFunSuite {
       val g = CSRGraph.fromEdges(el)
       val bc = LocalBrandes.bc(g)
       for (r <- 0 until g.n if bc(r) > 0) {
-        val pi = Estimators.exactPi(g, r)
-        assert(approxEq(Theory.mu(g, r), g.n * pi.max), s"$name r=$r")
+        val col = LocalBrandes.dependencyColumn(g, r)
+        assert(approxEq(Theory.mu(col), g.n * Estimators.exactPi(col).max), s"$name r=$r")
       }
     }
   }
@@ -90,7 +90,7 @@ class IdentitiesSpec extends AnyFunSuite {
   test("pi_r of the separator is uniform over the cliques (optimal case)") {
     val k = 6
     val g = CSRGraph.fromEdges(GraphGen.doubleClique(k))
-    val pi = Estimators.exactPi(g, 2 * k)
+    val pi = Estimators.exactPi(LocalBrandes.dependencyColumn(g, 2 * k))
     (0 until 2 * k).foreach(v => assert(approxEq(pi(v), 1.0 / (2 * k))))
   }
 

@@ -136,4 +136,15 @@ class LocalBrandesSpec extends AnyFunSuite {
     for (v <- Seq(0, 3, 7, 17, 25, 33))
       assert(LocalBrandes.dependency(g, v)(v) == 0.0, s"delta_{$v}($v)")
   }
+
+  test("a non-finite dependency fails the table build (sigma overflow on a 530x530 grid)") {
+    // from a corner, sigma to the far side exceeds Double's range, so the
+    // sweep computes NaN, which the table would pass off as "not evaluated"
+    val g = CSRGraph.fromEdges(GraphGen.grid(530, 530))
+    val e = intercept[ArithmeticException] {
+      LocalBrandes.dependencyTable(g, LocalBrandes.markSources(g.n, 0, Array.empty[Int]), Array(g.n / 2))
+    }
+    assert(e.getMessage.contains("source 0") && e.getMessage.contains(s"target ${g.n / 2}") &&
+      e.getMessage.contains("overflow"), e.getMessage)
+  }
 }

@@ -23,7 +23,7 @@ class OracleGraphSpec extends SparkSpec {
     val rows = (0 until el.n).map(v => (v, round4(bc(v))))
     val df = spark.createDataFrame(rows).toDF("v", "bc")
     Oracle.assertEquivalent(df, TestGraphs.bcSql(TestGraphs.naiveDiameter(el)),
-      "edges" -> el.toDF(spark))
+      "edges" -> TestGraphs.edgesDF(spark, el))
   }
 
   private def checkDependency(name: String, el: EdgeList, r: Int): Unit = {
@@ -32,7 +32,7 @@ class OracleGraphSpec extends SparkSpec {
     val rows = (0 until g.n).map(v => (v, round4(col(v))))
     val df = spark.createDataFrame(rows).toDF("v", "delta")
     Oracle.assertEquivalent(df, TestGraphs.dependencySql(TestGraphs.naiveDiameter(el), r),
-      "edges" -> el.toDF(spark))
+      "edges" -> TestGraphs.edgesDF(spark, el))
   }
 
   for ((name, el) <- TestGraphs.battery)

@@ -30,6 +30,10 @@ class SparkBrandesSpec extends SparkSpec {
     val a = SparkBrandes.bc(spark, g, numPartitions = 2)
     val b = SparkBrandes.bc(spark, g, numPartitions = 13)
     (0 until g.n).foreach(v => assert(approxEq(a(v), b(v))))
+    // at one partition count the per-partition sums are added in partition
+    // order, so repeated calls agree bit for bit
+    (1 to 5).foreach(i =>
+      assert(java.util.Arrays.equals(SparkBrandes.bc(spark, g, numPartitions = 13), b), s"repeat $i"))
   }
 
   test("dependenciesOnTarget matches local dependencyOn, dedups sources") {

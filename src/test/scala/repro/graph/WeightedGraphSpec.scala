@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Estimators, MHSingle}
 import repro.graphgen.{EdgeList, GraphGen}
 import repro.testutil.TestGraphs
 
@@ -139,8 +140,7 @@ class WeightedGraphSpec extends AnyFunSuite {
     val r = 0
     val col = Array.tabulate(el.n)(v => LocalBrandesWeighted.dependency(g, v)(r))
     assert(approxEq(col.sum, bc(r), 1e-7))
-    val (v0, props) = repro.core.MHSingle.drawProposals(el.n, 20000, 51L)
-    val chain = repro.core.MHSingle.walk(r, el.n, 51L, v0, props, col)
+    val chain = MHSingle.sample(el.n, r, 20000, 51L)(_ => col)
     val rel = math.abs(chain.estimateHarmonic - bc(r)) / bc(r)
     assert(rel < 0.2, s"weighted harmonic rel err $rel (est=${chain.estimateHarmonic}, bc=${bc(r)})")
   }
@@ -151,10 +151,7 @@ class WeightedGraphSpec extends AnyFunSuite {
     val bc = LocalBrandesWeighted.bc(g)
     val cols = Seq(0, 33).map(r =>
       Array.tabulate(el.n)(v => LocalBrandesWeighted.dependency(g, v)(r)))
-    def capped(a: Double, b: Double) = repro.core.Estimators.cappedRatio(a, b)
-    val num = (0 until el.n).map(w => cols(1)(w) / bc(33) * capped(cols(0)(w), cols(1)(w))).sum
-    val den = (0 until el.n).map(w => cols(0)(w) / bc(0) * capped(cols(1)(w), cols(0)(w))).sum
-    assert(approxEq(num / den, bc(0) / bc(33), 1e-7))
+    assert(approxEq(Estimators.theorem3Ratio(cols(0), cols(1)), bc(0) / bc(33), 1e-7))
   }
 
   test("weighted BC is unchanged when every weight is scaled by 1e-9, 1e-6, 1e6 or 1e9") {

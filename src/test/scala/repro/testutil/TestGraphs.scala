@@ -1,5 +1,6 @@
 package repro.testutil
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalacheck.Gen
 import repro.graphgen.{EdgeList, GraphGen}
 
@@ -12,6 +13,12 @@ import repro.graphgen.{EdgeList, GraphGen}
   * fully independent implementation executed by a different engine.
   */
 object TestGraphs {
+
+  /** Edge list as a two-column DataFrame `(src, dst)`, one row per undirected edge. */
+  def edgesDF(spark: SparkSession, el: EdgeList): DataFrame = {
+    import spark.implicits._
+    el.edges.toDF("src", "dst")
+  }
 
   /** All-pairs distances by Floyd–Warshall. */
   def naiveDistances(el: EdgeList): Array[Array[Int]] = {
