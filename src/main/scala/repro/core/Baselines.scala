@@ -30,8 +30,9 @@ object Baselines {
     */
   def distanceEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     require(k > 0)
-    val (dist, _, _) = LocalBrandes.spd(g, r)
-    val w = dist.map(d => math.max(d, 0).toDouble) // unreachable (−1): weight 0
+    val kernel = new LocalBrandes.Kernel(g)
+    kernel.bfs(r)
+    val w = Array.tabulate(g.n)(v => math.max(kernel.distTo(v), 0).toDouble) // unreachable (−1): weight 0
     val total = w.sum
     require(total > 0, s"distance sampler undefined: no vertex other than r=$r is reachable from it")
     val cum = w.scanLeft(0.0)(_ + _).tail // cum(i) = Σ_{v<=i} w(v)
@@ -58,30 +59,33 @@ object Baselines {
   /** Riondato–Kornaropoulos shortest-path sampler: draw (s,t) uniformly among
     * ordered pairs s ≠ t, draw one shortest s-t path uniformly by walking
     * predecessors backward with probability σ_{s,pred}/Σ σ, count whether r
-    * is interior. E[|V|(|V|−1) · 1{r interior}] = BC(r).
+    * is interior. E[|V|(|V|−1) · 1{r interior}] = BC(r). The k BFSes share
+    * one [[LocalBrandes.Kernel]].
     */
   def rkEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     require(k > 0 && g.n >= 2)
     val rnd = new Lcg(seed)
+    val kernel = new LocalBrandes.Kernel(g)
     var hits = 0
     for (_ <- 1 to k) {
       val s = rnd.nextInt(g.n)
       var t = rnd.nextInt(g.n - 1)
       if (t >= s) t += 1
-      val (dist, sigma, _) = LocalBrandes.spd(g, s)
-      var cur = if (dist(t) < 0) s else t // no s-t path: a miss
+      kernel.bfs(s)
+      var cur = if (kernel.distTo(t) < 0) s else t // no s-t path: a miss
       var onPath = false
       while (cur != s) {
         if (cur != t && cur == r) onPath = true
         // sample one predecessor ∝ its σ
+        val predDist = kernel.distTo(cur) - 1
         var total = 0.0
-        g.foreachNeighbor(cur) { p => if (dist(p) == dist(cur) - 1) total += sigma(p) }
+        g.foreachNeighbor(cur) { p => if (kernel.distTo(p) == predDist) total += kernel.sigmaTo(p) }
         val u = rnd.nextDouble() * total
         var acc = 0.0
         var chosen = -1
         g.foreachNeighbor(cur) { p =>
-          if (chosen < 0 && dist(p) == dist(cur) - 1) {
-            acc += sigma(p)
+          if (chosen < 0 && kernel.distTo(p) == predDist) {
+            acc += kernel.sigmaTo(p)
             if (acc > u) chosen = p
           }
         }

@@ -26,9 +26,6 @@ final class CSRGraph private (val n: Int, val offsets: Array[Int], val neighbors
     while (i < end) { f(neighbors(i)); i += 1 }
   }
 
-  def neighborsOf(v: Int): IndexedSeq[Int] =
-    (offsets(v) until offsets(v + 1)).map(neighbors)
-
   /** Every vertex is reachable from vertex 0 (one BFS); the paper assumes
     * connected graphs.
     */

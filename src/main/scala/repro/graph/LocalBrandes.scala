@@ -8,7 +8,7 @@ import java.util.BitSet
   * call is the O(|E|) per-sample kernel of the paper (§4.1 — "it can be done
   * in O(|E(G)|) time for unweighted graphs"), and `bc` sums dependencies over
   * all sources (Eq. 3, ordered-pair convention: each unordered pair {s,t}
-  * contributes twice, once per direction).
+  * contributes twice, once per direction). Every pass runs in a [[Kernel]].
   */
 object LocalBrandes {
 
@@ -18,41 +18,143 @@ object LocalBrandes {
     *   happen on the connected graphs the paper assumes, but kept defensive),
     *   shortest-path counts σ_{s·}, and vertices in BFS visitation order.
     */
-  def spd(g: CSRGraph, s: Int): (Array[Int], Array[Double], Array[Int]) = {
-    val dist = Array.fill(g.n)(-1)
-    val sigma = new Array[Double](g.n)
-    val order = new Array[Int](g.n)
-    var head = 0; var tail = 0
-    dist(s) = 0; sigma(s) = 1.0
-    order(tail) = s; tail += 1
-    while (head < tail) {
-      val v = order(head); head += 1
-      val dv = dist(v)
-      g.foreachNeighbor(v) { w =>
-        if (dist(w) < 0) { dist(w) = dv + 1; order(tail) = w; tail += 1 }
-        if (dist(w) == dv + 1) sigma(w) += sigma(v)
-      }
-    }
-    (dist, sigma, java.util.Arrays.copyOf(order, tail))
-  }
+  def spd(g: CSRGraph, s: Int): (Array[Int], Array[Double], Array[Int]) = new Kernel(g).spd(s)
 
   /** Dependency scores δ_{s•}(v) of source `s` on every vertex v (Eq. 2/4).
     * δ_{s•}(s) is 0 by definition.
     */
-  def dependency(g: CSRGraph, s: Int): Array[Double] = {
-    val (dist, sigma, order) = spd(g, s)
-    val delta = new Array[Double](g.n)
-    var i = order.length - 1
-    while (i >= 0) {
-      val w = order(i); i -= 1
-      val coef = (1.0 + delta(w)) / sigma(w)
-      val dw = dist(w)
-      g.foreachNeighbor(w) { v =>
-        if (dist(v) == dw - 1) delta(v) += sigma(v) * coef
+  def dependency(g: CSRGraph, s: Int): Array[Double] = new Kernel(g).dependency(s)
+
+  /** The one unweighted Brandes pass, in a reusable workspace: one instance
+    * per thread (a Spark task, a local table build, a baseline), never shared.
+    *
+    * A pass from s is the CSR-order BFS, which sets dist and σ, then a
+    * backward sweep in reverse BFS order. The sweep reads Brandes' (2001)
+    * predecessor lists, kept only inside the *marked* sub-DAG: the targets
+    * start marked (the source only when the whole DAG is wanted), and the BFS
+    * marks every successor w of a marked v and pushes the arc v→w onto w's
+    * list. So every descendant of a target records all its out-arcs, and δ(v)
+    * of each marked v receives σ(v)·(1+δ(w))/σ(w) from every successor w, in
+    * reverse BFS order of w: the same terms in the same order as a scan of all
+    * neighbours, hence the same bits. A simple undirected graph has at most
+    * one DAG arc per edge, so m arc slots suffice.
+    *
+    * A pass allocates nothing: it clears the workspace with sequential fills,
+    * which measured faster than resetting just the visited vertices through
+    * the BFS order (random stores), since a pass on a connected graph visits
+    * every vertex anyway.
+    */
+  final class Kernel(g: CSRGraph) {
+    private val dist = new Array[Int](g.n) // this array and the next four are cleared by every pass
+    private val sigma = new Array[Double](g.n)
+    private val delta = new Array[Double](g.n)
+    private val marked = new Array[Boolean](g.n)
+    private val lastArc = new Array[Int](g.n) // head of w's predecessor-arc list, −1 if empty
+    private val order = new Array[Int](g.n) // BFS order, valid up to `visited`
+    private val arcFrom = new Array[Int](g.m) // arc a = arcFrom(a) → the w whose list holds a
+    private val nextArc = new Array[Int](g.m) // the next arc in the same list, −1 at its end
+    private var visited = 0
+
+    /** BFS from s alone; [[distTo]] and [[sigmaTo]] then read its SPD. */
+    def bfs(s: Int): Unit = pass(s, Array.emptyIntArray, whole = false)
+
+    /** d(s, v) from the last pass's source s, −1 if v was not reached. */
+    def distTo(v: Int): Int = dist(v)
+
+    /** σ_{sv} from the last pass's source s, 0 if v was not reached. */
+    def sigmaTo(v: Int): Double = sigma(v)
+
+    /** [[LocalBrandes.spd]] in this workspace (the arrays are copies). */
+    def spd(s: Int): (Array[Int], Array[Double], Array[Int]) = {
+      bfs(s)
+      (dist.clone(), sigma.clone(), java.util.Arrays.copyOf(order, visited))
+    }
+
+    /** [[LocalBrandes.dependency]] in this workspace (a fresh array). */
+    def dependency(s: Int): Array[Double] = {
+      pass(s, Array.emptyIntArray, whole = true)
+      delta.clone()
+    }
+
+    /** acc(v) += δ_{s•}(v) for every v reached from s other than s: one
+      * source's term of BC (Eq. 3). The other vertices' δ is 0.
+      */
+    def addDependencies(s: Int, acc: Array[Double]): Unit = {
+      pass(s, Array.emptyIntArray, whole = true)
+      var i = 1
+      while (i < visited) { val v = order(i); acc(v) += delta(v); i += 1 }
+    }
+
+    /** One row of a dependency table, `out(offset + k)` = δ_{s•}(targets(k)),
+      * for targets already checked to be vertices (as [[emptyTable]] does).
+      *
+      * @throws ArithmeticException if an entry is not finite (σ overflows
+      *   `Double` on graphs with very many shortest paths), which NaN would
+      *   otherwise pass off as "not evaluated"
+      */
+    private[graph] def row(s: Int, targets: Array[Int], out: Array[Double], offset: Int): Unit = {
+      pass(s, targets, whole = false)
+      var k = 0
+      while (k < targets.length) {
+        val x = delta(targets(k))
+        if (!java.lang.Double.isFinite(x))
+          throw new ArithmeticException(s"the dependency of source $s on target ${targets(k)} is $x: " +
+            "the shortest-path counts σ overflow Double")
+        out(offset + k) = x
+        k += 1
       }
     }
-    delta(s) = 0.0
-    delta
+
+    /** Clear the workspace, BFS from s recording the arcs of the sub-DAG
+      * below `targets` (below s if `whole`), then sweep those arcs.
+      */
+    private def pass(s: Int, targets: Array[Int], whole: Boolean): Unit = {
+      val dist = this.dist; val sigma = this.sigma; val delta = this.delta; val order = this.order
+      val marked = this.marked; val lastArc = this.lastArc
+      val arcFrom = this.arcFrom; val nextArc = this.nextArc
+      val offsets = g.offsets; val nbr = g.neighbors
+      java.util.Arrays.fill(dist, -1); java.util.Arrays.fill(sigma, 0.0); java.util.Arrays.fill(delta, 0.0)
+      java.util.Arrays.fill(marked, false); java.util.Arrays.fill(lastArc, -1)
+      dist(s) = 0; sigma(s) = 1.0
+      order(0) = s
+      visited = 1
+      var i = 0
+      while (i < targets.length) { marked(targets(i)) = true; i += 1 }
+      marked(s) = whole
+
+      var head = 0; var arcs = 0
+      while (head < visited) {
+        val v = order(head); head += 1
+        val dw = dist(v) + 1
+        val sv = sigma(v)
+        val mv = marked(v)
+        var j = offsets(v)
+        val end = offsets(v + 1)
+        while (j < end) {
+          val w = nbr(j)
+          if (dist(w) < 0) { dist(w) = dw; order(visited) = w; visited += 1 }
+          if (dist(w) == dw) {
+            sigma(w) += sv
+            if (mv) {
+              marked(w) = true
+              arcFrom(arcs) = v; nextArc(arcs) = lastArc(w); lastArc(w) = arcs; arcs += 1
+            }
+          }
+          j += 1
+        }
+      }
+
+      i = visited - 1
+      while (i > 0) {
+        val w = order(i); i -= 1
+        var a = lastArc(w)
+        if (a >= 0) {
+          val coef = (1.0 + delta(w)) / sigma(w)
+          while (a >= 0) { val v = arcFrom(a); delta(v) += sigma(v) * coef; a = nextArc(a) }
+        }
+      }
+      delta(s) = 0.0
+    }
   }
 
   /** The distinct vertices of `sources`, as a set over `0 until n`. */
@@ -79,13 +181,15 @@ object LocalBrandes {
   /** The samplers' one δ representation: a dense row-major n × |targets|
     * table with `table(v * targets.length + k)` = δ_{v•}(targets(k)) for
     * every source v in `sources`, and NaN ("not evaluated") for every other
-    * v. With a single target it is the column δ_{·•}(r).
+    * v. With a single target it is the column δ_{·•}(r). One [[Kernel]]
+    * evaluates every row.
     */
   def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): Array[Double] = {
     val table = emptyTable(g.n, targets)
+    val kernel = new Kernel(g)
     var v = sources.nextSetBit(0)
     while (v >= 0) {
-      dependencyRow(g, v, targets, table, v * targets.length)
+      kernel.row(v, targets, table, v * targets.length)
       v = sources.nextSetBit(v + 1)
     }
     table
@@ -102,30 +206,14 @@ object LocalBrandes {
     table
   }
 
-  /** One row of a dependency table: `out(offset + k)` = δ_{v•}(targets(k)),
-    * all from a single Brandes pass from v.
-    *
-    * @throws ArithmeticException if an entry is not finite (σ overflows
-    *   `Double` on graphs with very many shortest paths), which NaN would
-    *   otherwise pass off as "not evaluated"
-    */
-  private[graph] def dependencyRow(g: CSRGraph, v: Int, targets: Array[Int], out: Array[Double],
-                    offset: Int): Unit = {
-    val d = dependency(g, v)
-    var k = 0
-    while (k < targets.length) {
-      val x = d(targets(k))
-      if (!java.lang.Double.isFinite(x))
-        throw new ArithmeticException(s"the dependency of source $v on target ${targets(k)} is $x: " +
-          "the shortest-path counts σ overflow Double")
-      out(offset + k) = x
-      k += 1
-    }
-  }
-
   /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
-  def bc(g: CSRGraph): Array[Double] =
-    (0 until g.n).foldLeft(new Array[Double](g.n))((acc, s) => accumulate(acc, dependency(g, s)))
+  def bc(g: CSRGraph): Array[Double] = {
+    val acc = new Array[Double](g.n)
+    val kernel = new Kernel(g)
+    var s = 0
+    while (s < g.n) { kernel.addDependencies(s, acc); s += 1 }
+    acc
+  }
 
   /** acc(v) += row(v) in vertex order, returning `acc`: every exact-BC path's one accumulation step. */
   def accumulate(acc: Array[Double], row: Array[Double]): Array[Double] = {
@@ -147,8 +235,4 @@ object LocalBrandes {
     */
   def dependencyColumn(g: CSRGraph, r: Int): Array[Double] =
     dependencyTable(g, allSources(g.n), Array(r))
-
-  /** Eccentricity-based diameter (exact, all-sources BFS). */
-  def diameter(g: CSRGraph): Int =
-    (0 until g.n).map(s => spd(g, s)._1.max).max
 }

@@ -18,21 +18,23 @@ import org.apache.spark.sql.SparkSession
 object SparkBrandes {
 
   /** Exact BC of every vertex: each task sums the dependency vectors of its
-    * sources, and the driver sums the per-partition sums in partition order,
-    * so repeated calls at one partition count are bit-identical.
+    * sources in one [[LocalBrandes.Kernel]], and the driver sums the
+    * per-partition sums in partition order, so repeated calls at one
+    * partition count are bit-identical.
     */
   def bc(spark: SparkSession, g: CSRGraph, numPartitions: Int = 0): Array[Double] =
     perPartition(spark, g, Array.range(0, g.n), numPartitions) { (graph, sources) =>
       val acc = new Array[Double](graph.n)
-      sources.foreach(s => LocalBrandes.accumulate(acc, LocalBrandes.dependency(graph, s)))
+      val kernel = new LocalBrandes.Kernel(graph)
+      sources.foreach(kernel.addDependencies(_, acc))
       acc
     }.foldLeft(new Array[Double](g.n))(LocalBrandes.accumulate)
 
   /** [[LocalBrandes.dependencyTable]] as one distributed job: the marked
     * sources are split over `numPartitions` tasks (default: the session's
-    * parallelism), each task evaluates its rows with the same kernel, and the
-    * driver scatters them into the table. Every row depends only on its own
-    * source, so the table is bit-identical for every partition count.
+    * parallelism), each task evaluates its rows in one [[LocalBrandes.Kernel]],
+    * and the driver scatters them into the table. Every row depends only on its
+    * own source, so the table is bit-identical for every partition count.
     */
   def dependencyTable(
       spark: SparkSession,
@@ -47,8 +49,9 @@ object SparkBrandes {
       val batches = perPartition(spark, g, ids, numPartitions) { (graph, vs) =>
         val batch = vs.toArray
         val rows = new Array[Double](batch.length * k)
+        val kernel = new LocalBrandes.Kernel(graph)
         var i = 0
-        while (i < batch.length) { LocalBrandes.dependencyRow(graph, batch(i), targets, rows, i * k); i += 1 }
+        while (i < batch.length) { kernel.row(batch(i), targets, rows, i * k); i += 1 }
         (batch, rows)
       }
       batches.foreach { case (batch, rows) =>

@@ -54,4 +54,15 @@ class GoldenEstimatesSpec extends AnyFunSuite {
     assertBits("distanceEstimate(31)", Baselines.distanceEstimate(karate, 31, 2000, 1L), 4639577795007033868L) // 152.73196944444533
     assertBits("rkEstimate(31)", Baselines.rkEstimate(karate, 31, 2000, 1L), 4639513654971793932L) // 150.909
   }
+
+  test("kernel outputs beyond karate: BA(300,3,7) delta table on the top-5 degree vertices, grid(12,12) BC") {
+    // java.util.Arrays.hashCode of a double array hashes every entry's
+    // doubleToLongBits; the grid's σ are large (up to C(22,11) = 705432)
+    val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L))
+    val top5 = (0 until ba.n).sortBy(v => (-ba.degree(v), v)).take(5).toArray
+    assert(top5.sameElements(Array(3, 0, 5, 1, 6)), top5.mkString(","))
+    val table = LocalBrandes.dependencyTable(ba, LocalBrandes.allSources(ba.n), top5)
+    assert(java.util.Arrays.hashCode(table) == 872666199)
+    assert(java.util.Arrays.hashCode(LocalBrandes.bc(CSRGraph.fromEdges(GraphGen.grid(12, 12)))) == -1490818184)
+  }
 }

@@ -1,13 +1,17 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graphgen.GraphGen
+import repro.graphgen.{EdgeList, GraphGen}
 import repro.testutil.TestGraphs
 
 class LocalBrandesSpec extends AnyFunSuite {
 
   private def approxEq(a: Double, b: Double, tol: Double = 1e-9): Boolean =
     math.abs(a - b) <= tol * math.max(1.0, math.max(math.abs(a), math.abs(b)))
+
+  /** Eccentricity-based diameter (exact, all-sources BFS). */
+  private def diameter(g: CSRGraph): Int =
+    (0 until g.n).map(s => LocalBrandes.spd(g, s)._1.max).max
 
   test("spd distances match Floyd-Warshall on the battery") {
     TestGraphs.battery.foreach { case (name, el) =>
@@ -127,7 +131,7 @@ class LocalBrandesSpec extends AnyFunSuite {
 
   test("diameter matches naive Floyd-Warshall eccentricity") {
     TestGraphs.battery.foreach { case (name, el) =>
-      assert(LocalBrandes.diameter(CSRGraph.fromEdges(el)) == TestGraphs.naiveDiameter(el), name)
+      assert(diameter(CSRGraph.fromEdges(el)) == TestGraphs.naiveDiameter(el), name)
     }
   }
 
@@ -146,5 +150,57 @@ class LocalBrandesSpec extends AnyFunSuite {
     }
     assert(e.getMessage.contains("source 0") && e.getMessage.contains(s"target ${g.n / 2}") &&
       e.getMessage.contains("overflow"), e.getMessage)
+  }
+
+  /** The battery, 25 random connected graphs and a disconnected one
+    * (path(4) plus the edge (4,5)), each with a random target set that holds
+    * a vertex of every component, so some rows have a target unreachable from
+    * their source and, over all sources, every target is some row's source.
+    */
+  private def graphsWithTargets: Seq[(String, CSRGraph, Array[Int])] = {
+    val rnd = new scala.util.Random(6)
+    val disconnected = "path4+edge" -> EdgeList(6, Vector((0, 1), (1, 2), (2, 3), (4, 5)))
+    (TestGraphs.battery ++ TestGraphs.sampleGraphs(25).zipWithIndex.map { case (el, i) => s"random$i" -> el } :+
+      disconnected).map { case (name, el) =>
+      val g = CSRGraph.fromEdges(el)
+      val picked = rnd.shuffle((0 until g.n).toVector).take(1 + rnd.nextInt(math.min(g.n, 5)))
+      val targets = if (name == disconnected._1) (picked :+ 0 :+ 5).distinct else picked
+      (name, g, targets.toArray)
+    }
+  }
+
+  private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
+
+  test("dependencyTable over the targets' sub-DAG is bit-identical to full dependency vectors") {
+    graphsWithTargets.foreach { case (name, g, targets) =>
+      val table = LocalBrandes.dependencyTable(g, LocalBrandes.allSources(g.n), targets)
+      for (v <- 0 until g.n) {
+        val full = LocalBrandes.dependency(g, v)
+        targets.indices.foreach(k => assert(bits(table(v * targets.length + k)) == bits(full(targets(k))),
+          s"$name delta_{$v}(${targets(k)}): ${table(v * targets.length + k)} vs ${full(targets(k))}"))
+      }
+    }
+  }
+
+  test("a reused kernel leaves no state behind: shuffled sources match a fresh kernel per source") {
+    val rnd = new scala.util.Random(7)
+    graphsWithTargets.foreach { case (name, g, targets) =>
+      val shared = new LocalBrandes.Kernel(g)
+      val row = new Array[Double](targets.length)
+      val fresh = new Array[Double](targets.length)
+      rnd.shuffle((0 until g.n).toVector).foreach { v =>
+        shared.row(v, targets, row, 0)
+        new LocalBrandes.Kernel(g).row(v, targets, fresh, 0)
+        assert(row.map(bits).sameElements(fresh.map(bits)), s"$name row $v")
+        // the whole-DAG and BFS-only passes share the workspace too
+        assert(shared.dependency(v).map(bits).sameElements(new LocalBrandes.Kernel(g).dependency(v).map(bits)),
+          s"$name dependency $v")
+        val u = rnd.nextInt(g.n)
+        val (dist, sigma, order) = shared.spd(u)
+        val (dist0, sigma0, order0) = new LocalBrandes.Kernel(g).spd(u)
+        assert(dist.sameElements(dist0) && sigma.map(bits).sameElements(sigma0.map(bits)) &&
+          order.sameElements(order0), s"$name spd $u")
+      }
+    }
   }
 }

@@ -69,4 +69,23 @@ class SparkBrandesSpec extends SparkSpec {
       assert(approxEq(sum, bc(r)), s"BC($r)")
     }
   }
+
+  test("concurrent local dependencyTable calls on one graph agree (no shared kernel)") {
+    val g = CSRGraph.fromEdges(GraphGen.barabasiAlbert(1500, 3, 11L))
+    val targets = Array(0, 1, 2, 750)
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(2)
+    try {
+      val calls = (1 to 2).map(_ => pool.submit(new java.util.concurrent.Callable[Array[Double]] {
+        def call(): Array[Double] = {
+          start.await()
+          LocalBrandes.dependencyTable(g, LocalBrandes.allSources(g.n), targets)
+        }
+      }))
+      start.countDown()
+      val Seq(a, b) = calls.map(_.get())
+      assert(java.util.Arrays.equals(a, b))
+      assert(java.util.Arrays.equals(a, LocalBrandes.dependencyTable(g, LocalBrandes.allSources(g.n), targets)))
+    } finally pool.shutdown()
+  }
 }
