@@ -20,20 +20,45 @@ object Jobs {
     s
   }
 
+  /** The graph specs [[graph]] accepts. */
+  val graphSpecs: String = "ba:<n>:<m>:<seed>, er:<n>:<p>:<seed>, ws:<n>:<k>:<beta>:<seed>, " +
+    "barbell:<k>:<len>, doubleclique:<k>, path:<n>, grid:<rows>:<cols>, karate"
+
   /** Parse a graph spec like `ba:2000:4:7`, `er:2000:0.004:7`, `ws:2000:8:0.1:7`,
     * `barbell:500:3`, `doubleclique:500`, `path:100`, `karate`.
+    *
+    * @throws IllegalArgumentException naming the bad field and the accepted
+    *   forms, for an unknown spec or a field that does not parse
     */
-  def graph(spec: String): EdgeList = spec.split(":").toList match {
-    case "ba" :: n :: m :: seed :: Nil       => GraphGen.barabasiAlbert(n.toInt, m.toInt, seed.toLong)
-    case "er" :: n :: p :: seed :: Nil       => GraphGen.erdosRenyi(n.toInt, p.toDouble, seed.toLong)
-    case "ws" :: n :: k :: b :: seed :: Nil  => GraphGen.wattsStrogatz(n.toInt, k.toInt, b.toDouble, seed.toLong)
-    case "barbell" :: k :: len :: Nil        => GraphGen.barbell(k.toInt, len.toInt)
-    case "doubleclique" :: k :: Nil          => GraphGen.doubleClique(k.toInt)
-    case "path" :: n :: Nil                  => GraphGen.path(n.toInt)
-    case "grid" :: r :: c :: Nil             => GraphGen.grid(r.toInt, c.toInt)
-    case "karate" :: Nil                     => GraphGen.karateClub
-    case other => sys.error(s"unknown graph spec: $other")
+  def graph(spec: String): EdgeList = {
+    val usage = s"graph spec '$spec'; accepted forms: $graphSpecs"
+    def int(name: String, value: String) = field(usage, name, value)(_.toInt)
+    def long(name: String, value: String) = field(usage, name, value)(_.toLong)
+    def double(name: String, value: String) = field(usage, name, value)(_.toDouble)
+    spec.split(":").toList match {
+      case "ba" :: n :: m :: seed :: Nil       =>
+        GraphGen.barabasiAlbert(int("n", n), int("m", m), long("seed", seed))
+      case "er" :: n :: p :: seed :: Nil       =>
+        GraphGen.erdosRenyi(int("n", n), double("p", p), long("seed", seed))
+      case "ws" :: n :: k :: b :: seed :: Nil  =>
+        GraphGen.wattsStrogatz(int("n", n), int("k", k), double("beta", b), long("seed", seed))
+      case "barbell" :: k :: len :: Nil        => GraphGen.barbell(int("k", k), int("len", len))
+      case "doubleclique" :: k :: Nil          => GraphGen.doubleClique(int("k", k))
+      case "path" :: n :: Nil                  => GraphGen.path(int("n", n))
+      case "grid" :: r :: c :: Nil             => GraphGen.grid(int("rows", r), int("cols", c))
+      case "karate" :: Nil                     => GraphGen.karateClub
+      case _ => throw new IllegalArgumentException(s"unknown $usage")
+    }
   }
+
+  /** One field of a command line or graph spec, parsed by `parse`.
+    *
+    * @throws IllegalArgumentException naming the field, its value and `usage`
+    *   when the value does not parse
+    */
+  def field[A](usage: String, name: String, value: String)(parse: String => A): A =
+    try parse(value)
+    catch { case _: NumberFormatException => throw new IllegalArgumentException(s"bad $name '$value'; $usage") }
 
   def csr(spec: String): CSRGraph = CSRGraph.fromEdges(graph(spec))
 }

@@ -10,8 +10,9 @@ import repro.graph.SparkBrandes
   */
 object RunExactBC {
   def main(args: Array[String]): Unit = {
-    require(args.nonEmpty, "usage: RunExactBC <graph-spec> [topK]")
-    val topK = if (args.length > 1) args(1).toInt else 10
+    val usage = "usage: RunExactBC <graph-spec> [topK]"
+    require(args.nonEmpty, usage)
+    val topK = if (args.length > 1) Jobs.field(usage, "topK", args(1))(_.toInt) else 10
     val spark = Jobs.session("RunExactBC")
     try {
       val g = Jobs.csr(args(0))

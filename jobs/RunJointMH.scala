@@ -11,10 +11,11 @@ import repro.graph.SparkBrandes
   */
 object RunJointMH {
   def main(args: Array[String]): Unit = {
-    require(args.length >= 3, "usage: RunJointMH <graph-spec> <r1,r2,...> <T> [seed]")
-    val R = args(1).split(",").map(_.toInt)
-    val T = args(2).toInt
-    val seed = if (args.length > 3) args(3).toLong else 42L
+    val usage = "usage: RunJointMH <graph-spec> <r1,r2,...> <T> [seed]"
+    require(args.length >= 3, usage)
+    val R = Jobs.field(usage, "R", args(1))(_.split(",").map(_.toInt))
+    val T = Jobs.field(usage, "T", args(2))(_.toInt)
+    val seed = if (args.length > 3) Jobs.field(usage, "seed", args(3))(_.toLong) else 42L
     val spark = Jobs.session("RunJointMH")
     try {
       val g = Jobs.csr(args(0))

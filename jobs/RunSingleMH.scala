@@ -11,10 +11,11 @@ import repro.graph.SparkBrandes
   */
 object RunSingleMH {
   def main(args: Array[String]): Unit = {
-    require(args.length >= 3, "usage: RunSingleMH <graph-spec> <r> <T> [seed]")
-    val r = args(1).toInt
-    val T = args(2).toInt
-    val seed = if (args.length > 3) args(3).toLong else 42L
+    val usage = "usage: RunSingleMH <graph-spec> <r> <T> [seed]"
+    require(args.length >= 3, usage)
+    val r = Jobs.field(usage, "r", args(1))(_.toInt)
+    val T = Jobs.field(usage, "T", args(2))(_.toInt)
+    val seed = if (args.length > 3) Jobs.field(usage, "seed", args(3))(_.toLong) else 42L
     val spark = Jobs.session("RunSingleMH")
     try {
       val g = Jobs.csr(args(0))

@@ -16,7 +16,7 @@ object Baselines {
     * sample v uniformly from V(G); E[|V|·δ_{v•}(r)] = BC(r).
     */
   def uniformEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
-    require(k > 0)
+    checkInputs(g, r, k)
     val rnd = new Lcg(seed)
     val vs = Array.fill(k)(rnd.nextInt(g.n))
     val delta = column(g, r, vs)
@@ -29,7 +29,7 @@ object Baselines {
     * P[v] = d(r,v) / Σ_u d(r,u); estimator δ_{v•}(r)/P[v], unbiased.
     */
   def distanceEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
-    require(k > 0)
+    checkInputs(g, r, k)
     val kernel = new LocalBrandes.Kernel(g)
     kernel.bfs(r)
     val w = Array.tabulate(g.n)(v => math.max(kernel.distTo(v), 0).toDouble) // unreachable (−1): weight 0
@@ -52,6 +52,14 @@ object Baselines {
     s / k
   }
 
+  /** Fail fast, before any draw, on a target that is not a vertex or a
+    * sample budget that is not positive.
+    */
+  private def checkInputs(g: CSRGraph, r: Int, k: Int): Unit = {
+    require(r >= 0 && r < g.n, s"target r=$r is not a vertex of a graph with n=${g.n} vertices")
+    require(k > 0, s"sample count k=$k must be positive")
+  }
+
   /** δ_{v•}(r) for the distinct draws `vs`, NaN elsewhere. */
   private def column(g: CSRGraph, r: Int, vs: Array[Int]): Array[Double] =
     LocalBrandes.dependencyTable(g, LocalBrandes.markSources(g.n, vs(0), vs), Array(r))
@@ -63,7 +71,8 @@ object Baselines {
     * one [[LocalBrandes.Kernel]].
     */
   def rkEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
-    require(k > 0 && g.n >= 2)
+    checkInputs(g, r, k)
+    require(g.n >= 2, s"the RK sampler draws pairs s != t, so it needs n >= 2 vertices, got n=${g.n}")
     val rnd = new Lcg(seed)
     val kernel = new LocalBrandes.Kernel(g)
     var hits = 0

@@ -28,7 +28,7 @@ object LocalBrandes {
   /** The one unweighted Brandes pass, in a reusable workspace: one instance
     * per thread (a Spark task, a local table build, a baseline), never shared.
     *
-    * A pass from s is the CSR-order BFS, which sets dist and σ, then a
+    * A pass from s is a level-by-level BFS, which sets dist and σ, then a
     * backward sweep in reverse BFS order. The sweep reads Brandes' (2001)
     * predecessor lists, kept only inside the *marked* sub-DAG: the targets
     * start marked (the source only when the whole DAG is wanted), and the BFS
@@ -36,8 +36,26 @@ object LocalBrandes {
     * list. So every descendant of a target records all its out-arcs, and δ(v)
     * of each marked v receives σ(v)·(1+δ(w))/σ(w) from every successor w, in
     * reverse BFS order of w: the same terms in the same order as a scan of all
-    * neighbours, hence the same bits. A simple undirected graph has at most
-    * one DAG arc per edge, so m arc slots suffice.
+    * neighbours, hence the same bits, whatever order each list is in. A
+    * simple undirected graph has at most one DAG arc per edge, so m arc slots
+    * suffice.
+    *
+    * The BFS is direction-optimising (Beamer, Asanović & Patterson 2012): it
+    * expands each level from whichever side scans fewer arcs. While the
+    * frontier has no more arcs than the unvisited vertices, it expands top
+    * down: each frontier vertex, in BFS order, scans its neighbours in CSR
+    * (id) order, appends the undiscovered ones and adds its σ to every
+    * successor. Otherwise it expands bottom up: each unvisited vertex scans
+    * its neighbours, sums σ over those in the frontier, records the arcs from
+    * marked ones (keeping its own mark if it is a target) and notes the
+    * least BFS position among them, its first parent's. A stable counting
+    * sort on that position then puts the new level in the order top-down
+    * would have found it, (first parent's position, id), so the levels, the
+    * BFS order and the sweep are unchanged. σ(w) then sums the same parents
+    * in id order rather than BFS order: that is exact, hence the same bits,
+    * while σ < 2^53, and the same bits for any σ when w has at most two
+    * parents, since IEEE `+` commutes. The BFS stops as soon as every vertex
+    * is visited.
     *
     * A pass allocates nothing: it clears the workspace with sequential fills,
     * which measured faster than resetting just the visited vertices through
@@ -53,7 +71,11 @@ object LocalBrandes {
     private val order = new Array[Int](g.n) // BFS order, valid up to `visited`
     private val arcFrom = new Array[Int](g.m) // arc a = arcFrom(a) → the w whose list holds a
     private val nextArc = new Array[Int](g.m) // the next arc in the same list, −1 at its end
+    private val rank = new Array[Int](g.n) // bottom up: a frontier vertex's place in its level, a new one's parent's
+    private val found = new Array[Int](g.n) // bottom up: the vertices of the new level, in id order
+    private val bucket = new Array[Int](g.n + 1) // bottom up: counting-sort bucket starts, one per frontier position
     private var visited = 0
+    private var arcs = 0
 
     /** BFS from s alone; [[distTo]] and [[sigmaTo]] then read its SPD. */
     def bfs(s: Int): Unit = pass(s, Array.emptyIntArray, whole = false)
@@ -109,39 +131,28 @@ object LocalBrandes {
       * below `targets` (below s if `whole`), then sweep those arcs.
       */
     private def pass(s: Int, targets: Array[Int], whole: Boolean): Unit = {
-      val dist = this.dist; val sigma = this.sigma; val delta = this.delta; val order = this.order
-      val marked = this.marked; val lastArc = this.lastArc
-      val arcFrom = this.arcFrom; val nextArc = this.nextArc
-      val offsets = g.offsets; val nbr = g.neighbors
+      val sigma = this.sigma; val delta = this.delta; val order = this.order; val lastArc = this.lastArc
+      val arcFrom = this.arcFrom; val nextArc = this.nextArc; val offsets = g.offsets
       java.util.Arrays.fill(dist, -1); java.util.Arrays.fill(sigma, 0.0); java.util.Arrays.fill(delta, 0.0)
       java.util.Arrays.fill(marked, false); java.util.Arrays.fill(lastArc, -1)
       dist(s) = 0; sigma(s) = 1.0
       order(0) = s
-      visited = 1
+      visited = 1; arcs = 0
       var i = 0
       while (i < targets.length) { marked(targets(i)) = true; i += 1 }
       marked(s) = whole
 
-      var head = 0; var arcs = 0
-      while (head < visited) {
-        val v = order(head); head += 1
-        val dw = dist(v) + 1
-        val sv = sigma(v)
-        val mv = marked(v)
-        var j = offsets(v)
-        val end = offsets(v + 1)
-        while (j < end) {
-          val w = nbr(j)
-          if (dist(w) < 0) { dist(w) = dw; order(visited) = w; visited += 1 }
-          if (dist(w) == dw) {
-            sigma(w) += sv
-            if (mv) {
-              marked(w) = true
-              arcFrom(arcs) = v; nextArc(arcs) = lastArc(w); lastArc(w) = arcs; arcs += 1
-            }
-          }
-          j += 1
-        }
+      // order(lo until hi) is the frontier, the level at distance d
+      var lo = 0; var hi = 1; var d = 0
+      var frontierArcs = offsets(s + 1) - offsets(s)
+      var unvisitedArcs = offsets(g.n) - frontierArcs
+      while (lo < hi && hi < g.n) {
+        if (frontierArcs <= unvisitedArcs) topDown(lo, hi, d) else bottomUp(lo, hi, d)
+        frontierArcs = 0
+        i = hi
+        while (i < visited) { val w = order(i); frontierArcs += offsets(w + 1) - offsets(w); i += 1 }
+        unvisitedArcs -= frontierArcs
+        lo = hi; hi = visited; d += 1
       }
 
       i = visited - 1
@@ -154,6 +165,93 @@ object LocalBrandes {
         }
       }
       delta(s) = 0.0
+    }
+
+    /** Expand the level at distance d, `order(lo until hi)`, from its
+      * vertices: append the next level to the order as it is discovered.
+      */
+    private def topDown(lo: Int, hi: Int, d: Int): Unit = {
+      val dist = this.dist; val sigma = this.sigma; val order = this.order
+      val marked = this.marked; val lastArc = this.lastArc
+      val arcFrom = this.arcFrom; val nextArc = this.nextArc
+      val offsets = g.offsets; val nbr = g.neighbors
+      val dw = d + 1
+      var tail = visited; var a = arcs
+      var i = lo
+      while (i < hi) {
+        val v = order(i); i += 1
+        val sv = sigma(v)
+        val mv = marked(v)
+        var j = offsets(v)
+        val end = offsets(v + 1)
+        while (j < end) {
+          val w = nbr(j)
+          if (dist(w) < 0) { dist(w) = dw; order(tail) = w; tail += 1 }
+          if (dist(w) == dw) {
+            sigma(w) += sv
+            if (mv) {
+              marked(w) = true
+              arcFrom(a) = v; nextArc(a) = lastArc(w); lastArc(w) = a; a += 1
+            }
+          }
+          j += 1
+        }
+      }
+      visited = tail; arcs = a
+    }
+
+    /** Expand the level at distance d, `order(lo until hi)`, from the
+      * unvisited vertices, then sort the next level into top-down order.
+      */
+    private def bottomUp(lo: Int, hi: Int, d: Int): Unit = {
+      val dist = this.dist; val sigma = this.sigma; val order = this.order
+      val marked = this.marked; val lastArc = this.lastArc
+      val arcFrom = this.arcFrom; val nextArc = this.nextArc
+      val rank = this.rank; val found = this.found; val bucket = this.bucket
+      val offsets = g.offsets; val nbr = g.neighbors
+      var i = lo
+      while (i < hi) { rank(order(i)) = i - lo; i += 1 }
+      val width = hi - lo
+      var count = 0; var a = arcs
+      var u = 0
+      while (u < g.n) {
+        if (dist(u) < 0) {
+          var su = 0.0; var first = width; var mu = marked(u)
+          var j = offsets(u)
+          val end = offsets(u + 1)
+          while (j < end) {
+            val v = nbr(j)
+            if (dist(v) == d) {
+              su += sigma(v)
+              if (rank(v) < first) first = rank(v)
+              if (marked(v)) {
+                mu = true
+                arcFrom(a) = v; nextArc(a) = lastArc(u); lastArc(u) = a; a += 1
+              }
+            }
+            j += 1
+          }
+          if (first < width) {
+            dist(u) = d + 1; sigma(u) = su; marked(u) = mu
+            rank(u) = first; found(count) = u; count += 1
+          }
+        }
+        u += 1
+      }
+
+      // stable counting sort of `found` (in id order) on the first parent's position
+      java.util.Arrays.fill(bucket, 0, width + 1, 0)
+      i = 0
+      while (i < count) { bucket(rank(found(i)) + 1) += 1; i += 1 }
+      i = 1
+      while (i <= width) { bucket(i) += bucket(i - 1); i += 1 }
+      i = 0
+      while (i < count) {
+        val w = found(i); val k = rank(w)
+        order(visited + bucket(k)) = w; bucket(k) += 1
+        i += 1
+      }
+      visited += count; arcs = a
     }
   }
 

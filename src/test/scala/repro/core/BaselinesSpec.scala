@@ -104,4 +104,23 @@ class BaselinesSpec extends AnyFunSuite {
     for ((name, est) <- Seq("uniform" -> u, "distance" -> d, "rk" -> p))
       assert(math.abs(est - bc) / bc < 0.2, s"$name est=$est bc=$bc")
   }
+
+  test("every baseline fails fast on a target that is not a vertex or a non-positive sample count") {
+    val baselines = Seq[(String, (Int, Int) => Double)](
+      "uniform" -> ((r, k) => Baselines.uniformEstimate(karate, r, k, 1L)),
+      "distance" -> ((r, k) => Baselines.distanceEstimate(karate, r, k, 1L)),
+      "rk" -> ((r, k) => Baselines.rkEstimate(karate, r, k, 1L)))
+    for ((name, estimate) <- baselines) {
+      for (r <- Seq(34, -1)) {
+        val e = intercept[IllegalArgumentException](estimate(r, 10))
+        assert(e.getMessage.contains(s"target r=$r is not a vertex of a graph with n=34 vertices"),
+          s"$name: ${e.getMessage}")
+      }
+      val e = intercept[IllegalArgumentException](estimate(0, 0))
+      assert(e.getMessage.contains("k=0 must be positive"), s"$name: ${e.getMessage}")
+    }
+    val single = CSRGraph.fromEdges(EdgeList(1, Vector.empty))
+    val e = intercept[IllegalArgumentException](Baselines.rkEstimate(single, 0, 10, 1L))
+    assert(e.getMessage.contains("n >= 2"), e.getMessage)
+  }
 }
