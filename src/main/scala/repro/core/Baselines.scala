@@ -6,9 +6,10 @@ import repro.graph.{CSRGraph, LocalBrandes}
   * three are unbiased iid samplers for the ordered-pair betweenness BC(r);
   * T6 compares them to the MH sampler at equal sample budgets. The source
   * samplers read δ from one [[LocalBrandes.dependencyTable]] over their
-  * distinct draws. On a disconnected graph all three stay unbiased: a vertex
-  * unreachable from r has distance weight 0 (its δ_{v•}(r) is 0), and an RK
-  * pair with no path is a miss.
+  * distinct draws. The distance and RK samplers read hop distances, so they
+  * take unweighted graphs only. On a disconnected graph all three stay
+  * unbiased: a vertex unreachable from r has distance weight 0 (its
+  * δ_{v•}(r) is 0), and an RK pair with no path is a miss.
   */
 object Baselines {
 
@@ -30,8 +31,9 @@ object Baselines {
     */
   def distanceEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     checkInputs(g, r, k)
+    require(!g.weighted, "the distance sampler weighs sources by hop distance, so it needs an unweighted graph")
     val kernel = new LocalBrandes.Kernel(g)
-    kernel.bfs(r)
+    kernel.shortestPaths(r)
     val w = Array.tabulate(g.n)(v => math.max(kernel.distTo(v), 0).toDouble) // unreachable (−1): weight 0
     val total = w.sum
     require(total > 0, s"distance sampler undefined: no vertex other than r=$r is reachable from it")
@@ -73,6 +75,7 @@ object Baselines {
   def rkEstimate(g: CSRGraph, r: Int, k: Int, seed: Long): Double = {
     checkInputs(g, r, k)
     require(g.n >= 2, s"the RK sampler draws pairs s != t, so it needs n >= 2 vertices, got n=${g.n}")
+    require(!g.weighted, "the RK sampler walks predecessors by hop distance, so it needs an unweighted graph")
     val rnd = new Lcg(seed)
     val kernel = new LocalBrandes.Kernel(g)
     var hits = 0
@@ -80,7 +83,7 @@ object Baselines {
       val s = rnd.nextInt(g.n)
       var t = rnd.nextInt(g.n - 1)
       if (t >= s) t += 1
-      kernel.bfs(s)
+      kernel.shortestPaths(s)
       var cur = if (kernel.distTo(t) < 0) s else t // no s-t path: a miss
       var onPath = false
       while (cur != s) {

@@ -5,17 +5,22 @@ import repro.graphgen.EdgeList
 /** Compact immutable adjacency in compressed-sparse-row form.
   *
   * `neighbors(offsets(v) until offsets(v+1))` are v's neighbours, sorted.
-  * This is the structure broadcast to Spark executors by the per-source
-  * kernels: it is a pair of primitive arrays, so serialization is one
-  * contiguous copy and per-BFS access is allocation-free.
+  * A weighted graph also holds one positive weight per arc, `weights(i)` for
+  * the arc to `neighbors(i)`; an unweighted graph's `weights` is empty. This
+  * is the structure broadcast to Spark executors by the per-source kernels:
+  * it is a few primitive arrays, so serialization is one contiguous copy and
+  * per-pass access is allocation-free.
   */
-final class CSRGraph private (val n: Int, val offsets: Array[Int], val neighbors: Array[Int])
-    extends Serializable {
+final class CSRGraph private (val n: Int, val offsets: Array[Int], val neighbors: Array[Int],
+                              val weights: Array[Double]) extends Serializable {
 
   /** Number of undirected edges. */
   def m: Int = neighbors.length / 2
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
+
+  /** The graph has arc weights, so its shortest paths are Dijkstra's rather than BFS levels. */
+  def weighted: Boolean = weights.length > 0
 
   def maxDegree: Int = (0 until n).map(degree).max
 
@@ -26,7 +31,7 @@ final class CSRGraph private (val n: Int, val offsets: Array[Int], val neighbors
     while (i < end) { f(neighbors(i)); i += 1 }
   }
 
-  /** Every vertex is reachable from vertex 0 (one BFS); the paper assumes
+  /** Every vertex is reachable from vertex 0 (one pass); the paper assumes
     * connected graphs.
     */
   def isConnected: Boolean = LocalBrandes.spd(this, 0)._3.length == n
@@ -79,6 +84,23 @@ object CSRGraph {
       java.util.Arrays.sort(nbr, offsets(v), offsets(v + 1))
       v += 1
     }
-    new CSRGraph(n, offsets, nbr)
+    new CSRGraph(n, offsets, nbr, Array.emptyDoubleArray)
+  }
+
+  /** Build a weighted graph — the "weighted graphs with positive weights"
+    * case of the paper's complexity statements (§2.1/§4.1) — from an
+    * [[EdgeList]] and a per-edge weight function, applied to the canonical
+    * (u < v) edge and used for both directions.
+    */
+  def fromEdges(el: EdgeList, weight: ((Int, Int)) => Double): CSRGraph = {
+    val g = fromEdges(el)
+    val weights = new Array[Double](g.neighbors.length)
+    for (v <- 0 until g.n; i <- g.offsets(v) until g.offsets(v + 1)) {
+      val u = g.neighbors(i)
+      val e = if (v < u) (v, u) else (u, v)
+      weights(i) = weight(e)
+      require(weights(i) > 0, s"weight of $e must be positive")
+    }
+    new CSRGraph(g.n, g.offsets, g.neighbors, weights)
   }
 }

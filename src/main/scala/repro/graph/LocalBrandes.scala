@@ -6,17 +6,19 @@ import java.util.BitSet
   *
   * This is the ground-truth reference for every sampler: one `dependency`
   * call is the O(|E|) per-sample kernel of the paper (§4.1 — "it can be done
-  * in O(|E(G)|) time for unweighted graphs"), and `bc` sums dependencies over
+  * in O(|E(G)|) time for unweighted graphs"; O(|E| + |V| log |V|) with
+  * positive weights), and `bc` sums dependencies over
   * all sources (Eq. 3, ordered-pair convention: each unordered pair {s,t}
   * contributes twice, once per direction). Every pass runs in a [[Kernel]].
   */
 object LocalBrandes {
 
-  /** Single-source shortest-path DAG (SPD) for unweighted graphs.
+  /** Single-source shortest-path DAG (SPD).
     *
     * @return (dist, sigma, order): BFS distances (−1 if unreachable — cannot
-    *   happen on the connected graphs the paper assumes, but kept defensive),
-    *   shortest-path counts σ_{s·}, and vertices in BFS visitation order.
+    *   happen on the connected graphs the paper assumes, but kept defensive;
+    *   on a weighted graph 0 if reached, see [[Kernel.distance]]),
+    *   shortest-path counts σ_{s·}, and vertices in visitation order.
     */
   def spd(g: CSRGraph, s: Int): (Array[Int], Array[Double], Array[Int]) = new Kernel(g).spd(s)
 
@@ -25,20 +27,29 @@ object LocalBrandes {
     */
   def dependency(g: CSRGraph, s: Int): Array[Double] = new Kernel(g).dependency(s)
 
-  /** The one unweighted Brandes pass, in a reusable workspace: one instance
-    * per thread (a Spark task, a local table build, a baseline), never shared.
+  /** The finite distance a equals the distance b up to a relative 1e-9, so
+    * equal-weight ties survive float accumulation at any weight scale. The
+    * +∞ of an unreached b ties nothing, though |a − ∞| ≤ 1e-9 · ∞ would hold.
+    */
+  private def tied(a: Double, b: Double): Boolean =
+    b != Double.PositiveInfinity && math.abs(a - b) <= 1e-9 * math.max(a, b)
+
+  /** The one Brandes pass, for both graph kinds, in a reusable workspace: one
+    * instance per thread (a Spark task, a local table build, a baseline),
+    * never shared.
     *
-    * A pass from s is a level-by-level BFS, which sets dist and σ, then a
-    * backward sweep in reverse BFS order. The sweep reads Brandes' (2001)
-    * predecessor lists, kept only inside the *marked* sub-DAG: the targets
-    * start marked (the source only when the whole DAG is wanted), and the BFS
-    * marks every successor w of a marked v and pushes the arc v→w onto w's
-    * list. So every descendant of a target records all its out-arcs, and δ(v)
-    * of each marked v receives σ(v)·(1+δ(w))/σ(w) from every successor w, in
-    * reverse BFS order of w: the same terms in the same order as a scan of all
-    * neighbours, hence the same bits, whatever order each list is in. A
-    * simple undirected graph has at most one DAG arc per edge, so m arc slots
-    * suffice.
+    * A pass from s is a forward step, which sets σ and the visitation order,
+    * then a backward sweep in reverse visitation order. The forward step is
+    * the graph's: BFS levels on an unweighted graph, Dijkstra on a weighted
+    * one. The sweep reads Brandes' (2001) predecessor lists, kept only inside
+    * the *marked* sub-DAG: the targets start marked (the source only when the
+    * whole DAG is wanted), and the forward step marks every successor w of a
+    * marked v and pushes the arc v→w onto w's list. So every descendant of a
+    * target records all its out-arcs, and δ(v) of each marked v receives
+    * σ(v)·(1+δ(w))/σ(w) from every successor w, in reverse visitation order of
+    * w: the same terms in the same order as a scan of all neighbours, hence
+    * the same bits, whatever order each list is in. A simple undirected graph
+    * has at most one DAG arc per edge, so m arc slots suffice.
     *
     * The BFS is direction-optimising (Beamer, Asanović & Patterson 2012): it
     * expands each level from whichever side scans fewer arcs. While the
@@ -57,38 +68,55 @@ object LocalBrandes {
     * parents, since IEEE `+` commutes. The BFS stops as soon as every vertex
     * is visited.
     *
-    * A pass allocates nothing: it clears the workspace with sequential fills,
-    * which measured faster than resetting just the visited vertices through
-    * the BFS order (random stores), since a pass on a connected graph visits
-    * every vertex anyway.
+    * Dijkstra settles the vertices in order of distance, comparing distances
+    * with [[tied]]. A vertex w, when settled, takes from its already-settled
+    * neighbours v with d(v) + wt(v, w) tied to d(w) the sum of their σ, a
+    * mark if any of them is marked, and the arc v→w of each marked one. Only
+    * vertices settled earlier are predecessors, so the sweep never adds to a
+    * vertex it has already passed.
+    *
+    * An unweighted pass allocates nothing: it clears the workspace with
+    * sequential fills, which measured faster than resetting just the visited
+    * vertices through the BFS order (random stores), since a pass on a
+    * connected graph visits every vertex anyway. A weighted pass boxes its
+    * heap entries.
     */
   final class Kernel(g: CSRGraph) {
-    private val dist = new Array[Int](g.n) // this array and the next four are cleared by every pass
+    private val dist = new Array[Int](g.n) // this array and the next four are cleared by every pass; Dijkstra: 0 once settled
     private val sigma = new Array[Double](g.n)
     private val delta = new Array[Double](g.n)
     private val marked = new Array[Boolean](g.n)
     private val lastArc = new Array[Int](g.n) // head of w's predecessor-arc list, −1 if empty
-    private val order = new Array[Int](g.n) // BFS order, valid up to `visited`
+    private val order = new Array[Int](g.n) // visitation order, valid up to `visited`
     private val arcFrom = new Array[Int](g.m) // arc a = arcFrom(a) → the w whose list holds a
     private val nextArc = new Array[Int](g.m) // the next arc in the same list, −1 at its end
     private val rank = new Array[Int](g.n) // bottom up: a frontier vertex's place in its level, a new one's parent's
     private val found = new Array[Int](g.n) // bottom up: the vertices of the new level, in id order
     private val bucket = new Array[Int](g.n + 1) // bottom up: counting-sort bucket starts, one per frontier position
+    private val weightedDist = new Array[Double](if (g.weighted) g.n else 0) // Dijkstra: tentative distances
+    private val heap = new java.util.PriorityQueue[(Double, Int)]( // Dijkstra: (distance, vertex), stale entries skipped
+      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
     private var visited = 0
     private var arcs = 0
 
-    /** BFS from s alone; [[distTo]] and [[sigmaTo]] then read its SPD. */
-    def bfs(s: Int): Unit = pass(s, Array.emptyIntArray, whole = false)
+    /** The forward step alone from s; [[distTo]], [[distance]] and [[sigmaTo]] then read its SPD. */
+    def shortestPaths(s: Int): Unit = pass(s, Array.emptyIntArray, whole = false)
 
-    /** d(s, v) from the last pass's source s, −1 if v was not reached. */
+    /** d(s, v) in hops from the last pass's source s, −1 if v was not reached (0 on a weighted graph). */
     def distTo(v: Int): Int = dist(v)
+
+    /** d(s, v) from the last pass's source s — the path weight on a weighted
+      * graph, the hop count otherwise — and +∞ if v was not reached.
+      */
+    def distance(v: Int): Double =
+      if (g.weighted) weightedDist(v) else if (dist(v) < 0) Double.PositiveInfinity else dist(v).toDouble
 
     /** σ_{sv} from the last pass's source s, 0 if v was not reached. */
     def sigmaTo(v: Int): Double = sigma(v)
 
     /** [[LocalBrandes.spd]] in this workspace (the arrays are copies). */
     def spd(s: Int): (Array[Int], Array[Double], Array[Int]) = {
-      bfs(s)
+      shortestPaths(s)
       (dist.clone(), sigma.clone(), java.util.Arrays.copyOf(order, visited))
     }
 
@@ -127,12 +155,13 @@ object LocalBrandes {
       }
     }
 
-    /** Clear the workspace, BFS from s recording the arcs of the sub-DAG
-      * below `targets` (below s if `whole`), then sweep those arcs.
+    /** Clear the workspace, run the graph's forward step from s recording the
+      * arcs of the sub-DAG below `targets` (below s if `whole`), then sweep
+      * those arcs.
       */
     private def pass(s: Int, targets: Array[Int], whole: Boolean): Unit = {
       val sigma = this.sigma; val delta = this.delta; val order = this.order; val lastArc = this.lastArc
-      val arcFrom = this.arcFrom; val nextArc = this.nextArc; val offsets = g.offsets
+      val arcFrom = this.arcFrom; val nextArc = this.nextArc
       java.util.Arrays.fill(dist, -1); java.util.Arrays.fill(sigma, 0.0); java.util.Arrays.fill(delta, 0.0)
       java.util.Arrays.fill(marked, false); java.util.Arrays.fill(lastArc, -1)
       dist(s) = 0; sigma(s) = 1.0
@@ -142,18 +171,7 @@ object LocalBrandes {
       while (i < targets.length) { marked(targets(i)) = true; i += 1 }
       marked(s) = whole
 
-      // order(lo until hi) is the frontier, the level at distance d
-      var lo = 0; var hi = 1; var d = 0
-      var frontierArcs = offsets(s + 1) - offsets(s)
-      var unvisitedArcs = offsets(g.n) - frontierArcs
-      while (lo < hi && hi < g.n) {
-        if (frontierArcs <= unvisitedArcs) topDown(lo, hi, d) else bottomUp(lo, hi, d)
-        frontierArcs = 0
-        i = hi
-        while (i < visited) { val w = order(i); frontierArcs += offsets(w + 1) - offsets(w); i += 1 }
-        unvisitedArcs -= frontierArcs
-        lo = hi; hi = visited; d += 1
-      }
+      if (g.weighted) dijkstra(s) else bfs(s)
 
       i = visited - 1
       while (i > 0) {
@@ -165,6 +183,63 @@ object LocalBrandes {
         }
       }
       delta(s) = 0.0
+    }
+
+    /** The unweighted forward step: BFS from s level by level, each level
+      * expanded top down or bottom up.
+      */
+    private def bfs(s: Int): Unit = {
+      val order = this.order; val offsets = g.offsets
+      // order(lo until hi) is the frontier, the level at distance d
+      var lo = 0; var hi = 1; var d = 0
+      var frontierArcs = offsets(s + 1) - offsets(s)
+      var unvisitedArcs = offsets(g.n) - frontierArcs
+      while (lo < hi && hi < g.n) {
+        if (frontierArcs <= unvisitedArcs) topDown(lo, hi, d) else bottomUp(lo, hi, d)
+        frontierArcs = 0
+        var i = hi
+        while (i < visited) { val w = order(i); frontierArcs += offsets(w + 1) - offsets(w); i += 1 }
+        unvisitedArcs -= frontierArcs
+        lo = hi; hi = visited; d += 1
+      }
+    }
+
+    /** The weighted forward step: Dijkstra from s, which [[pass]] has
+      * settled. Each settled vertex relaxes its arcs, then the next one is settled.
+      */
+    private def dijkstra(s: Int): Unit = {
+      val offsets = g.offsets; val nbr = g.neighbors; val wt = g.weights; val wd = weightedDist
+      java.util.Arrays.fill(wd, Double.PositiveInfinity)
+      wd(s) = 0.0
+      var v = s
+      while (v >= 0) {
+        var j = offsets(v)
+        while (j < offsets(v + 1)) {
+          val w = nbr(j); val nd = wd(v) + wt(j)
+          if (nd < wd(w) && !tied(nd, wd(w))) { wd(w) = nd; heap.add((nd, w)) }
+          j += 1
+        }
+        v = -1
+        while (v < 0 && !heap.isEmpty) {
+          val (d, u) = heap.poll()
+          if (dist(u) < 0 && (d <= wd(u) || tied(d, wd(u)))) v = u
+        }
+        if (v >= 0) { // settle v: pull σ, a mark and arcs from its tied, settled neighbours
+          j = offsets(v)
+          while (j < offsets(v + 1)) {
+            val u = nbr(j)
+            if (dist(u) == 0 && tied(wd(u) + wt(j), wd(v))) {
+              sigma(v) += sigma(u)
+              if (marked(u)) {
+                marked(v) = true
+                arcFrom(arcs) = u; nextArc(arcs) = lastArc(v); lastArc(v) = arcs; arcs += 1
+              }
+            }
+            j += 1
+          }
+          dist(v) = 0; order(visited) = v; visited += 1
+        }
+      }
     }
 
     /** Expand the level at distance d, `order(lo until hi)`, from its

@@ -7,10 +7,10 @@ import org.apache.spark.sql.SparkSession
 
 /** Source-parallel exact Brandes on Spark (RDD layer).
   *
-  * The graph (a pair of primitive arrays) is broadcast once; sources are an
-  * RDD and each task runs the O(|E|) BFS + accumulation kernel locally. This
-  * is the standard way Brandes scales out (the graph fits on every executor;
-  * the |V|-way source loop is what is parallelized), and it is also exactly
+  * The graph (a few primitive arrays) is broadcast once; sources are an RDD
+  * and each task runs the Brandes kernel (BFS or Dijkstra + accumulation)
+  * locally. This is the standard way Brandes scales out (the graph fits on
+  * every executor; the |V|-way source loop is what is parallelized), and it is also exactly
   * the shape of the paper's sampler workload: every MH proposal needs one
   * dependency evaluation, and proposals of an *independence* sampler are iid,
   * so a whole chain's worth of them is evaluated as one Spark job.

@@ -122,5 +122,14 @@ class BaselinesSpec extends AnyFunSuite {
     val single = CSRGraph.fromEdges(EdgeList(1, Vector.empty))
     val e = intercept[IllegalArgumentException](Baselines.rkEstimate(single, 0, 10, 1L))
     assert(e.getMessage.contains("n >= 2"), e.getMessage)
+    // the distance and RK samplers read hop distances; uniform reads only δ
+    val weighted = CSRGraph.fromEdges(GraphGen.karateClub, _ => 2.0)
+    for ((name, estimate) <- Seq[(String, (CSRGraph, Int, Int, Long) => Double)](
+           "distance" -> Baselines.distanceEstimate, "rk" -> Baselines.rkEstimate)) {
+      val e = intercept[IllegalArgumentException](estimate(weighted, 0, 10, 1L))
+      assert(e.getMessage.contains("needs an unweighted graph"), s"$name: ${e.getMessage}")
+    }
+    val (uw, u) = (Baselines.uniformEstimate(weighted, 0, 10, 1L), Baselines.uniformEstimate(karate, 0, 10, 1L))
+    assert(math.abs(uw - u) <= 1e-9 * u, s"uniform on unit-scaled weights: $uw vs $u")
   }
 }

@@ -161,31 +161,38 @@ class LocalBrandesSpec extends AnyFunSuite {
     * leaves expand bottom up at level 1; a complete graph, which stops after
     * level 1; karate plus an isolated vertex (always a target); and
     * grid(40,40), where σ passes 2^53 (at most two parents per vertex).
+    * Last, the battery, the disconnected graph, karate plus an isolated
+    * vertex and a BA(400,3) with weights in {1, 2, 3}, which run the
+    * kernel's Dijkstra step and tie often.
     */
   private def graphsWithTargets: Seq[(String, CSRGraph, Array[Int])] = {
     val rnd = new scala.util.Random(6)
     val disconnected = "path4+edge" -> EdgeList(6, Vector((0, 1), (1, 2), (2, 3), (4, 5)))
     val isolated = "karate+isolated" -> EdgeList(35, GraphGen.karateClub.edges)
     val unreachable = Map(disconnected._1 -> Seq(0, 5), isolated._1 -> Seq(34))
-    (TestGraphs.battery ++ TestGraphs.sampleGraphs(25).zipWithIndex.map { case (el, i) => s"random$i" -> el } ++
+    val unweighted = TestGraphs.battery ++ TestGraphs.sampleGraphs(25).zipWithIndex.map { case (el, i) => s"random$i" -> el } ++
       Seq(disconnected) ++
       Seq(1L, 2L).flatMap(seed => Seq(
         s"er300-$seed" -> GraphGen.erdosRenyi(300, 0.02, seed),
         s"ba400-$seed" -> GraphGen.barabasiAlbert(400, 3, seed),
         s"ws300-$seed" -> GraphGen.wattsStrogatz(300, 6, 0.1, seed))) ++
       Seq("star40" -> GraphGen.star(40), "complete12" -> GraphGen.complete(12), isolated,
-        "grid40x40" -> GraphGen.grid(40, 40))).map { case (name, el) =>
-      val g = CSRGraph.fromEdges(el)
-      val picked = rnd.shuffle((0 until g.n).toVector).take(1 + rnd.nextInt(math.min(g.n, 5)))
-      (name, g, (picked ++ unreachable.getOrElse(name, Nil)).distinct.toArray)
-    }
+        "grid40x40" -> GraphGen.grid(40, 40))
+    val weighted = TestGraphs.battery ++ Seq(disconnected, isolated, "ba400-1" -> GraphGen.barabasiAlbert(400, 3, 1L))
+    (unweighted.map { case (name, el) => (name, name, CSRGraph.fromEdges(el)) } ++
+      weighted.map { case (name, el) => (s"weighted $name", name, CSRGraph.fromEdges(el, TestGraphs.smallWeights)) })
+      .map { case (name, base, g) =>
+        val picked = rnd.shuffle((0 until g.n).toVector).take(1 + rnd.nextInt(math.min(g.n, 5)))
+        (name, g, (picked ++ unreachable.getOrElse(base, Nil)).distinct.toArray)
+      }
   }
 
   private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
 
   test("dependencyTable over the targets' sub-DAG is bit-identical to full dependency vectors") {
     // and every output of the direction-optimising kernel is bit-identical to
-    // the top-down-only reference pass: table rows, dependency, spd and bc
+    // the top-down-only reference pass (unweighted graphs): table rows,
+    // dependency, spd and bc
     graphsWithTargets.foreach { case (name, g, targets) =>
       val reference = new TopDownKernel(g)
       val table = LocalBrandes.dependencyTable(g, LocalBrandes.allSources(g.n), targets)
@@ -193,15 +200,18 @@ class LocalBrandesSpec extends AnyFunSuite {
         val full = LocalBrandes.dependency(g, v)
         targets.indices.foreach(k => assert(bits(table(v * targets.length + k)) == bits(full(targets(k))),
           s"$name delta_{$v}(${targets(k)}): ${table(v * targets.length + k)} vs ${full(targets(k))}"))
-        assert(targets.indices.map(k => bits(table(v * targets.length + k))) ==
-          reference.row(v, targets).map(bits).toSeq, s"$name row $v vs the reference")
-        assert(full.map(bits).sameElements(reference.dependency(v).map(bits)), s"$name dependency $v vs the reference")
-        val (dist, sigma, order) = LocalBrandes.spd(g, v)
-        val (dist0, sigma0, order0) = reference.spd(v)
-        assert(dist.sameElements(dist0) && sigma.map(bits).sameElements(sigma0.map(bits)) &&
-          order.sameElements(order0), s"$name spd $v vs the reference")
+        if (!g.weighted) {
+          assert(targets.indices.map(k => bits(table(v * targets.length + k))) ==
+            reference.row(v, targets).map(bits).toSeq, s"$name row $v vs the reference")
+          assert(full.map(bits).sameElements(reference.dependency(v).map(bits)), s"$name dependency $v vs the reference")
+          val (dist, sigma, order) = LocalBrandes.spd(g, v)
+          val (dist0, sigma0, order0) = reference.spd(v)
+          assert(dist.sameElements(dist0) && sigma.map(bits).sameElements(sigma0.map(bits)) &&
+            order.sameElements(order0), s"$name spd $v vs the reference")
+        }
       }
-      assert(LocalBrandes.bc(g).map(bits).sameElements(reference.bc().map(bits)), s"$name bc vs the reference")
+      if (!g.weighted)
+        assert(LocalBrandes.bc(g).map(bits).sameElements(reference.bc().map(bits)), s"$name bc vs the reference")
     }
   }
 

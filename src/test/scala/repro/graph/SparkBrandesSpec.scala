@@ -26,14 +26,16 @@ class SparkBrandesSpec extends SparkSpec {
   }
 
   test("bc is deterministic across partition counts") {
-    val g = CSRGraph.fromEdges(GraphGen.karateClub)
-    val a = SparkBrandes.bc(spark, g, numPartitions = 2)
-    val b = SparkBrandes.bc(spark, g, numPartitions = 13)
-    (0 until g.n).foreach(v => assert(approxEq(a(v), b(v))))
-    // at one partition count the per-partition sums are added in partition
-    // order, so repeated calls agree bit for bit
-    (1 to 5).foreach(i =>
-      assert(java.util.Arrays.equals(SparkBrandes.bc(spark, g, numPartitions = 13), b), s"repeat $i"))
+    val el = GraphGen.karateClub
+    for (g <- Seq(CSRGraph.fromEdges(el), CSRGraph.fromEdges(el, TestGraphs.smallWeights))) {
+      val a = SparkBrandes.bc(spark, g, numPartitions = 2)
+      val b = SparkBrandes.bc(spark, g, numPartitions = 13)
+      (0 until g.n).foreach(v => assert(approxEq(a(v), b(v))))
+      // at one partition count the per-partition sums are added in partition
+      // order, so repeated calls agree bit for bit
+      (1 to 5).foreach(i =>
+        assert(java.util.Arrays.equals(SparkBrandes.bc(spark, g, numPartitions = 13), b), s"repeat $i"))
+    }
   }
 
   test("dependenciesOnTarget matches local dependencyOn, dedups sources") {
@@ -52,12 +54,14 @@ class SparkBrandesSpec extends SparkSpec {
   }
 
   test("dependenciesOnTargets matches per-target local dependency vectors") {
-    val g = CSRGraph.fromEdges(GraphGen.grid(4, 5))
-    val targets = Array(0, 7, 12)
-    val out = SparkBrandes.dependenciesOnTargets(spark, g, 0 until g.n, targets)
-    for (v <- 0 until g.n; (r, k) <- targets.zipWithIndex) {
-      assert(approxEq(out(v * targets.length + k), LocalBrandes.dependency(g, v)(r)),
-        s"delta_{$v}($r)")
+    val el = GraphGen.grid(4, 5)
+    for (g <- Seq(CSRGraph.fromEdges(el), CSRGraph.fromEdges(el, TestGraphs.smallWeights))) {
+      val targets = Array(0, 7, 12)
+      val out = SparkBrandes.dependenciesOnTargets(spark, g, 0 until g.n, targets)
+      for (v <- 0 until g.n; (r, k) <- targets.zipWithIndex) {
+        assert(approxEq(out(v * targets.length + k), LocalBrandes.dependency(g, v)(r)),
+          s"weighted=${g.weighted} delta_{$v}($r)")
+      }
     }
   }
 

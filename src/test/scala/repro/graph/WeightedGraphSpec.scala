@@ -13,7 +13,7 @@ class WeightedGraphSpec extends AnyFunSuite {
     math.abs(a - b) <= tol * math.max(1.0, math.max(math.abs(a), math.abs(b)))
 
   /** Deterministic small integer weights, so tie cases actually occur. */
-  private def wf(e: (Int, Int)): Double = 1.0 + (e._1 + 2 * e._2) % 3
+  private def wf(e: (Int, Int)): Double = TestGraphs.smallWeights(e)
 
   /** Naive weighted reference: Floyd-Warshall distances + DP sigma. */
   private def naiveWeighted(el: EdgeList, weight: ((Int, Int)) => Double)
@@ -43,6 +43,13 @@ class WeightedGraphSpec extends AnyFunSuite {
     (d, sigma)
   }
 
+  /** (distances, σ) from s, read from one kernel pass. */
+  private def spd(g: CSRGraph, s: Int): (Array[Double], Array[Double]) = {
+    val kernel = new LocalBrandes.Kernel(g)
+    kernel.shortestPaths(s)
+    (Array.tabulate(g.n)(kernel.distance), Array.tabulate(g.n)(kernel.sigmaTo))
+  }
+
   private def naiveWeightedBC(el: EdgeList, weight: ((Int, Int)) => Double): Array[Double] = {
     val (d, sigma) = naiveWeighted(el, weight)
     Array.tabulate(el.n) { v =>
@@ -60,16 +67,16 @@ class WeightedGraphSpec extends AnyFunSuite {
   test("unit weights reproduce the unweighted kernels exactly") {
     TestGraphs.battery.foreach { case (name, el) =>
       val uw = CSRGraph.fromEdges(el)
-      val ww = WeightedCSRGraph.unit(el)
+      val ww = CSRGraph.fromEdges(el, _ => 1.0)
       for (s <- 0 until el.n) {
         val (d0, s0, _) = LocalBrandes.spd(uw, s)
-        val (d1, s1, _) = LocalBrandesWeighted.spd(ww, s)
+        val (d1, s1) = spd(ww, s)
         (0 until el.n).foreach { v =>
           assert(approxEq(d1(v), d0(v).toDouble), s"$name dist($s,$v)")
           assert(approxEq(s1(v), s0(v)), s"$name sigma($s,$v)")
         }
         val dep0 = LocalBrandes.dependency(uw, s)
-        val dep1 = LocalBrandesWeighted.dependency(ww, s)
+        val dep1 = LocalBrandes.dependency(ww, s)
         (0 until el.n).foreach(v => assert(approxEq(dep1(v), dep0(v)), s"$name dep($s,$v)"))
       }
     }
@@ -77,10 +84,10 @@ class WeightedGraphSpec extends AnyFunSuite {
 
   test("weighted distances and sigma match Floyd-Warshall + DP on the battery") {
     TestGraphs.battery.filter(_._2.n <= 15).foreach { case (name, el) =>
-      val g = WeightedCSRGraph.fromEdges(el, wf)
+      val g = CSRGraph.fromEdges(el, wf)
       val (nd, ns) = naiveWeighted(el, wf)
       for (s <- 0 until el.n) {
-        val (dist, sigma, _) = LocalBrandesWeighted.spd(g, s)
+        val (dist, sigma) = spd(g, s)
         (0 until el.n).foreach { v =>
           assert(approxEq(dist(v), nd(s)(v)), s"$name d($s,$v): ${dist(v)} vs ${nd(s)(v)}")
           assert(approxEq(sigma(v), ns(s)(v)), s"$name sigma($s,$v): ${sigma(v)} vs ${ns(s)(v)}")
@@ -91,7 +98,7 @@ class WeightedGraphSpec extends AnyFunSuite {
 
   test("weighted BC matches the naive definitional computation") {
     TestGraphs.battery.filter(_._2.n <= 15).foreach { case (name, el) =>
-      val fast = LocalBrandesWeighted.bc(WeightedCSRGraph.fromEdges(el, wf))
+      val fast = LocalBrandes.bc(CSRGraph.fromEdges(el, wf))
       val slow = naiveWeightedBC(el, wf)
       (0 until el.n).foreach(v =>
         assert(approxEq(fast(v), slow(v), 1e-7), s"$name BC($v): ${fast(v)} vs ${slow(v)}"))
@@ -100,7 +107,7 @@ class WeightedGraphSpec extends AnyFunSuite {
 
   test("weighted BC on random graphs matches naive") {
     TestGraphs.sampleGraphs(10).foreach { el =>
-      val fast = LocalBrandesWeighted.bc(WeightedCSRGraph.fromEdges(el, wf))
+      val fast = LocalBrandes.bc(CSRGraph.fromEdges(el, wf))
       val slow = naiveWeightedBC(el, wf)
       (0 until el.n).foreach(v => assert(approxEq(fast(v), slow(v), 1e-7)))
     }
@@ -108,8 +115,8 @@ class WeightedGraphSpec extends AnyFunSuite {
 
   test("path with increasing weights: distances are prefix sums") {
     val el = GraphGen.path(6)
-    val g = WeightedCSRGraph.fromEdges(el, e => (e._1 + 1).toDouble) // w(i,i+1)=i+1
-    val (dist, sigma, _) = LocalBrandesWeighted.spd(g, 0)
+    val g = CSRGraph.fromEdges(el, e => (e._1 + 1).toDouble) // w(i,i+1)=i+1
+    val (dist, sigma) = spd(g, 0)
     (0 until 6).foreach { v =>
       assert(approxEq(dist(v), (1 to v).sum.toDouble))
       assert(sigma(v) == 1.0)
@@ -118,27 +125,27 @@ class WeightedGraphSpec extends AnyFunSuite {
 
   test("weighted tie: triangle with weights (1,1,2) has two shortest 0-1 paths") {
     val el = EdgeList(3, Vector((0, 1), (0, 2), (1, 2)))
-    val g = WeightedCSRGraph.fromEdges(el,
+    val g = CSRGraph.fromEdges(el,
       { case (0, 1) => 2.0; case _ => 1.0 })
-    val (dist, sigma, _) = LocalBrandesWeighted.spd(g, 0)
+    val (dist, sigma) = spd(g, 0)
     assert(approxEq(dist(1), 2.0) && approxEq(sigma(1), 2.0))
     // vertex 2 is interior to one of the two 0-1 geodesics, each direction
-    val bc = LocalBrandesWeighted.bc(g)
+    val bc = LocalBrandes.bc(g)
     assert(approxEq(bc(2), 1.0), s"BC(2)=${bc(2)}")
   }
 
   test("positive-weight requirement is enforced") {
     assertThrows[IllegalArgumentException] {
-      WeightedCSRGraph.fromEdges(GraphGen.path(3), _ => 0.0)
+      CSRGraph.fromEdges(GraphGen.path(3), _ => 0.0)
     }
   }
 
   test("MH sampler with the weighted kernel estimates weighted BC (karate)") {
     val el = GraphGen.karateClub
-    val g = WeightedCSRGraph.fromEdges(el, wf)
-    val bc = LocalBrandesWeighted.bc(g)
+    val g = CSRGraph.fromEdges(el, wf)
+    val bc = LocalBrandes.bc(g)
     val r = 0
-    val col = Array.tabulate(el.n)(v => LocalBrandesWeighted.dependency(g, v)(r))
+    val col = LocalBrandes.dependencyColumn(g, r)
     assert(approxEq(col.sum, bc(r), 1e-7))
     val chain = MHSingle.sample(el.n, r, 20000, 51L)(_ => col)
     val rel = math.abs(chain.estimateHarmonic - bc(r)) / bc(r)
@@ -147,20 +154,30 @@ class WeightedGraphSpec extends AnyFunSuite {
 
   test("Theorem 3 ratio identity holds on weighted graphs") {
     val el = GraphGen.karateClub
-    val g = WeightedCSRGraph.fromEdges(el, wf)
-    val bc = LocalBrandesWeighted.bc(g)
-    val cols = Seq(0, 33).map(r =>
-      Array.tabulate(el.n)(v => LocalBrandesWeighted.dependency(g, v)(r)))
+    val g = CSRGraph.fromEdges(el, wf)
+    val bc = LocalBrandes.bc(g)
+    val cols = Seq(0, 33).map(r => LocalBrandes.dependencyColumn(g, r))
     assert(approxEq(Estimators.theorem3Ratio(cols(0), cols(1)), bc(0) / bc(33), 1e-7))
   }
 
   test("weighted BC is unchanged when every weight is scaled by 1e-9, 1e-6, 1e6 or 1e9") {
     val el = GraphGen.karateClub
-    val bc = LocalBrandesWeighted.bc(WeightedCSRGraph.fromEdges(el, wf))
+    val bc = LocalBrandes.bc(CSRGraph.fromEdges(el, wf))
     for (scale <- Seq(1e-9, 1e-6, 1e6, 1e9)) {
-      val scaled = LocalBrandesWeighted.bc(WeightedCSRGraph.fromEdges(el, e => scale * wf(e)))
+      val scaled = LocalBrandes.bc(CSRGraph.fromEdges(el, e => scale * wf(e)))
       (0 until el.n).foreach(v =>
         assert(approxEq(scaled(v), bc(v)), s"scale $scale BC($v): ${scaled(v)} vs ${bc(v)}"))
+    }
+  }
+
+  test("a degree-1 vertex has BC 0 whatever its edge weight") {
+    // a leaf is interior to no shortest path, even when its edge weight is
+    // below the relative tie tolerance of the distance it is added to
+    for (leafWeight <- Seq(1e-12, 1e-10, 1e-6, 1.0, 1e6)) {
+      val path = LocalBrandes.bc(CSRGraph.fromEdges(GraphGen.path(3), e => if (e == (1, 2)) leafWeight else 1.0))
+      assert(path(0) == 0.0 && path(2) == 0.0, s"path(3), weight $leafWeight: BC = ${path.toSeq}")
+      val star = LocalBrandes.bc(CSRGraph.fromEdges(GraphGen.star(4), e => if (e == (0, 3)) leafWeight else 1.0))
+      assert((1 to 3).forall(star(_) == 0.0), s"star(4), weight $leafWeight: BC = ${star.toSeq}")
     }
   }
 }

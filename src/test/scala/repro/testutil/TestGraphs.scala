@@ -161,6 +161,9 @@ object TestGraphs {
       connectedGraphGen.pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(i.toLong))
     }
 
+  /** Deterministic small integer edge weights in {1, 2, 3}, so weighted ties actually occur. */
+  def smallWeights(e: (Int, Int)): Double = 1.0 + (e._1 + 2 * e._2) % 3
+
   /** A small fixed battery of named graphs used across suites. */
   def battery: Seq[(String, EdgeList)] = Seq(
     "path8" -> GraphGen.path(8),
