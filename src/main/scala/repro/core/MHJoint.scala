@@ -81,10 +81,8 @@ object MHJoint {
     val v0 = rnd.nextInt(n)
     val pr = new Array[Int](T)
     val pv = new Array[Int](T)
-    var t = 0
-    while (t < T) { pr(t) = rnd.nextInt(nR); t += 1 }
-    t = 0
-    while (t < T) { pv(t) = rnd.nextInt(n); t += 1 }
+    rnd.fillInts(pr, nR, Chunks.default)
+    rnd.fillInts(pv, n, Chunks.default)
     (r0, v0, pr, pv)
   }
 
@@ -102,7 +100,7 @@ object MHJoint {
     val props = new Array[Int](T)
     var t = 0
     while (t < T) { props(t) = propsV(t) * width + propsR(t); t += 1 }
-    val (states, accepted) = MHSingle.independenceWalk(seed, v0 * width + r0, props, delta, width)
+    val (states, accepted) = MHSingle.independenceWalk(seed, v0 * width + r0, props, delta, width, Chunks.default)
     val statesR = new Array[Int](T + 1)
     val statesV = new Array[Int](T + 1)
     t = 0

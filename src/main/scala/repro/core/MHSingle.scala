@@ -61,22 +61,40 @@ final case class Chain(
     // δ was never evaluated makes the estimate NaN rather than a silent count
     val d0 = delta(states(0))
     if (d0.isNaN) return Double.NaN
-    var positive = if (d0 > 0.0) 1 else 0
-    var t = 0
-    while (t < T) {
-      val d = delta(proposals(t))
-      if (d > 0.0) positive += 1 else if (d.isNaN) return Double.NaN
-      t += 1
-    }
-    val suppHat = n.toDouble * positive / (T + 1)
+    // 1/δ once per vertex, and 0 off the support, where adding +0.0 leaves
+    // the sum's bits as they are: the serial loop below adds the same terms
+    // in the same order as dividing at every state
+    val inv = new Array[Double](n)
+    var v = 0
+    while (v < n) { val d = delta(v); if (d > 0.0) inv(v) = 1.0 / d; v += 1 }
+    // the calling thread sums over the states, in chain order, while the
+    // pool counts the positive proposals (an integer: any order will do)
+    val k = Chunks.count(T, Chunks.default - 1)
+    val positive = new Array[Int](k) // δ > 0 among chunk c's proposals, −1 once one is unevaluated
     var invSum = 0.0
     var inSupport = 0
-    t = 0
-    while (t <= T) {
-      val d = delta(states(t))
-      if (d > 0.0) { invSum += 1.0 / d; inSupport += 1 }
-      t += 1
+    Chunks.run(k + 1) { c =>
+      if (c == 0) {
+        var sum = 0.0
+        var count = 0
+        var t = 0
+        while (t <= T) { val s = states(t); sum += inv(s); if (delta(s) > 0.0) count += 1; t += 1 }
+        invSum = sum
+        inSupport = count
+      } else {
+        var p = 0
+        var t = Chunks.start(T, k, c - 1)
+        val end = Chunks.start(T, k, c)
+        while (t < end && p >= 0) {
+          val d = delta(proposals(t))
+          if (d > 0.0) p += 1 else if (d.isNaN) p = -1
+          t += 1
+        }
+        positive(c - 1) = p
+      }
     }
+    if (positive.contains(-1)) return Double.NaN
+    val suppHat = n.toDouble * (positive.sum + (if (d0 > 0.0) 1 else 0)) / (T + 1)
     if (inSupport == 0 || suppHat == 0.0) 0.0
     else suppHat / (invSum / inSupport)
   }
@@ -95,6 +113,13 @@ final case class Chain(
   * path differs only in building the column with
   * [[LocalBrandes.dependencyTable]], so both are bit-for-bit identical for the
   * same seed.
+  *
+  * The driver's O(T) work — the draw, the walk and the harmonic estimator's
+  * support count — runs in chunks on the JVM's common ForkJoin pool with the
+  * calling thread as one worker ([[Chunks]]), and gives the same bits as one
+  * sequential loop: the draw jumps the LCG ahead to each chunk's start, and
+  * the walk stitches its chunks with the coupling described at
+  * [[independenceWalk]].
   */
 object MHSingle {
 
@@ -103,8 +128,7 @@ object MHSingle {
     val rnd = new Lcg(seed)
     val v0 = rnd.nextInt(n)
     val props = new Array[Int](T)
-    var t = 0
-    while (t < T) { props(t) = rnd.nextInt(n); t += 1 }
+    rnd.fillInts(props, n, Chunks.default)
     (v0, props)
   }
 
@@ -116,42 +140,131 @@ object MHSingle {
     * enters supp(δ) and never leaves it.
     *
     * @throws NoSuchElementException if the column has no δ for v0 or for a
-    *   proposal
+    *   proposal; it names v0, or else the first such proposal in chain order
     */
   def walk(r: Int, n: Int, seed: Long, v0: Int, proposals: Array[Int],
            delta: Array[Double]): Chain = {
     require(delta.length == n, s"delta column has length ${delta.length}, expected n=$n")
-    val (states, accepted) = independenceWalk(seed, v0, proposals, delta, 1)
+    val (states, accepted) = independenceWalk(seed, v0, proposals, delta, 1, Chunks.default)
     Chain(r, n, seed, states, proposals, accepted, delta)
   }
 
   /** The one Independence-MH accept/reject loop of both samplers, over flat
     * states s indexing `weight`, which holds `width` entries per source vertex
-    * s / width. Conventions and failure as in [[walk]]; returns (states, accepted).
+    * s / width. Conventions and failure as in [[walk]]; returns (states,
+    * accepted), the same bits at every chunk count.
+    *
+    * The walk runs in `chunks` chunks of steps at once, because copies of an
+    * independence chain started from different states merge at the first
+    * proposal that every state accepts (the coupling behind perfect sampling
+    * for IMH, Corcoran & Tweedie 2002). With δ_max the largest evaluated
+    * weight, step t's proposal p is accepted from every state when
+    * u_t < δ(p)/δ_max: from a state with δ = 0 always, and from one with
+    * 0 < δ ≤ δ_max because correctly rounded division is monotone, so
+    * δ(p)/δ ≥ δ(p)/δ_max. That has probability E[δ]/δ_max = 1/μ(r) per step
+    * (the quantity of Theorem 1; Mengersen & Tweedie 1996). Each chunk but
+    * the first looks for its first such step τ and walks from τ to its end,
+    * as the first chunk walks from s0, all on [[Chunks]]; then one
+    * sequential pass walks each chunk's steps before τ from the previous
+    * chunk's end state. A chunk with no such step (δ_max = 0, or μ(r) about
+    * the chunk length or more) is walked whole in that pass: the same bits,
+    * only not faster. The u_t come from one stream, each chunk's jumped
+    * ahead to its first step.
     */
-  private[core] def independenceWalk(seed: Long, s0: Int, proposals: Array[Int],
-                                     weight: Array[Double], width: Int): (Array[Int], Array[Boolean]) = {
+  private[core] def independenceWalk(seed: Long, s0: Int, proposals: Array[Int], weight: Array[Double],
+                                     width: Int, chunks: Int): (Array[Int], Array[Boolean]) = {
     val T = proposals.length
-    val rnd = new Lcg(seed ^ 0x5DEECE66DL) // separate stream from drawProposals
     val states = new Array[Int](T + 1)
     val accepted = new Array[Boolean](T)
     states(0) = s0
-    var cur = s0
-    var dc = weight(s0)
-    if (dc.isNaN) unevaluated(s0 / width)
-    var t = 1
-    while (t <= T) {
-      val prop = proposals(t - 1)
+    if (weight(s0).isNaN) unevaluated(s0 / width)
+    val dmax = couplingBound(weight)
+    val k = Chunks.count(T, chunks)
+    def lo(c: Int): Int = Chunks.start(T, k, c)
+    val tau = new Array[Int](k) // c ≥ 1: chunk c's first step that every state accepts, lo(c + 1) if none
+    val missing = new Array[Int](k) // chunk c's first step with an unevaluated proposal, lo(c + 1) if none
+    Chunks.run(k) { c =>
+      val hi = lo(c + 1)
+      val rnd = stream(seed, lo(c))
+      if (c == 0) missing(c) = steps(rnd, lo(c), hi, s0, proposals, weight, states, accepted)
+      else {
+        var t = lo(c)
+        var found = false
+        var nan = false
+        while (t < hi && !found && !nan) {
+          val dp = weight(proposals(t))
+          if (dp.isNaN) nan = true
+          else { found = rnd.nextDouble() < dp / dmax; t += 1 }
+        }
+        if (found) {
+          tau(c) = t - 1
+          accepted(t - 1) = true
+          states(t) = proposals(t - 1)
+          missing(c) = steps(rnd, t, hi, proposals(t - 1), proposals, weight, states, accepted)
+        } else {
+          tau(c) = hi
+          missing(c) = if (nan) t else hi
+        }
+      }
+    }
+    var c = 0
+    while (c < k) {
+      if (missing(c) < lo(c + 1)) unevaluated(proposals(missing(c)) / width)
+      c += 1
+    }
+    c = 1
+    while (c < k) {
+      steps(stream(seed, lo(c)), lo(c), tau(c), states(lo(c)), proposals, weight, states, accepted)
+      c += 1
+    }
+    (states, accepted)
+  }
+
+  /** Steps `from until to` of the walk, from state `start` and drawing from
+    * `rnd`: writes accepted(t) and states(t + 1), and returns the first step
+    * whose proposal is unevaluated, or `to`.
+    */
+  private def steps(rnd: Lcg, from: Int, to: Int, start: Int, proposals: Array[Int], weight: Array[Double],
+                    states: Array[Int], accepted: Array[Boolean]): Int = {
+    var cur = start
+    var dc = weight(cur)
+    var t = from
+    while (t < to) {
+      val prop = proposals(t)
       val dp = weight(prop)
-      if (dp.isNaN) unevaluated(prop / width)
+      if (dp.isNaN) return t
       val ratio = if (dc == 0.0) 1.0 else dp / dc
       val acc = rnd.nextDouble() < math.min(1.0, ratio)
       if (acc) { cur = prop; dc = dp }
-      accepted(t - 1) = acc
-      states(t) = cur
+      accepted(t) = acc
+      states(t + 1) = cur
       t += 1
     }
-    (states, accepted)
+    to
+  }
+
+  /** The walk's uniform draws from step t on: its stream jumped t draws
+    * (2t outputs) ahead. The stream is separate from [[drawProposals]]'.
+    */
+  private def stream(seed: Long, t: Int): Lcg = {
+    val rnd = new Lcg(seed ^ 0x5DEECE66DL)
+    rnd.skip(2L * t)
+    rnd
+  }
+
+  /** The largest evaluated weight, δ_max of the coupling. NaN, which couples
+    * no step, if a weight is negative: dependencies never are, but a caller's
+    * column could be, and the bound then proves nothing.
+    */
+  private def couplingBound(weight: Array[Double]): Double = {
+    var max = 0.0
+    var i = 0
+    while (i < weight.length) {
+      val w = weight(i)
+      if (w > max) max = w else if (w < 0.0) return Double.NaN
+      i += 1
+    }
+    max
   }
 
   private def unevaluated(v: Int): Nothing =

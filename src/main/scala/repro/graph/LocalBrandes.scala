@@ -75,11 +75,11 @@ object LocalBrandes {
     * vertices settled earlier are predecessors, so the sweep never adds to a
     * vertex it has already passed.
     *
-    * An unweighted pass allocates nothing: it clears the workspace with
-    * sequential fills, which measured faster than resetting just the visited
-    * vertices through the BFS order (random stores), since a pass on a
-    * connected graph visits every vertex anyway. A weighted pass boxes its
-    * heap entries.
+    * A pass allocates nothing: it clears the workspace with sequential
+    * fills, which measured faster than resetting just the visited vertices
+    * through the BFS order (random stores), since a pass on a connected
+    * graph visits every vertex anyway. Dijkstra's heap is two primitive
+    * arrays, with room for one entry per arc.
     */
   final class Kernel(g: CSRGraph) {
     private val dist = new Array[Int](g.n) // this array and the next four are cleared by every pass; Dijkstra: 0 once settled
@@ -94,8 +94,11 @@ object LocalBrandes {
     private val found = new Array[Int](g.n) // bottom up: the vertices of the new level, in id order
     private val bucket = new Array[Int](g.n + 1) // bottom up: counting-sort bucket starts, one per frontier position
     private val weightedDist = new Array[Double](if (g.weighted) g.n else 0) // Dijkstra: tentative distances
-    private val heap = new java.util.PriorityQueue[(Double, Int)]( // Dijkstra: (distance, vertex), stale entries skipped
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
+    // Dijkstra: a binary min-heap of (distance, vertex) entries, stale ones
+    // skipped; a pass pushes at most once per arc
+    private val heapDist = new Array[Double](if (g.weighted) g.neighbors.length else 0)
+    private val heapVertex = new Array[Int](if (g.weighted) g.neighbors.length else 0)
+    private var heapSize = 0
     private var visited = 0
     private var arcs = 0
 
@@ -205,23 +208,26 @@ object LocalBrandes {
     }
 
     /** The weighted forward step: Dijkstra from s, which [[pass]] has
-      * settled. Each settled vertex relaxes its arcs, then the next one is settled.
+      * settled. Each settled vertex relaxes its arcs, then the next one is
+      * settled, until every vertex is or the heap runs out.
       */
     private def dijkstra(s: Int): Unit = {
       val offsets = g.offsets; val nbr = g.neighbors; val wt = g.weights; val wd = weightedDist
       java.util.Arrays.fill(wd, Double.PositiveInfinity)
       wd(s) = 0.0
+      heapSize = 0
       var v = s
       while (v >= 0) {
         var j = offsets(v)
         while (j < offsets(v + 1)) {
           val w = nbr(j); val nd = wd(v) + wt(j)
-          if (nd < wd(w) && !tied(nd, wd(w))) { wd(w) = nd; heap.add((nd, w)) }
+          if (nd < wd(w) && !tied(nd, wd(w))) { wd(w) = nd; push(nd, w) }
           j += 1
         }
         v = -1
-        while (v < 0 && !heap.isEmpty) {
-          val (d, u) = heap.poll()
+        while (v < 0 && heapSize > 0 && visited < g.n) {
+          val d = heapDist(0); val u = heapVertex(0)
+          popTop()
           if (dist(u) < 0 && (d <= wd(u) || tied(d, wd(u)))) v = u
         }
         if (v >= 0) { // settle v: pull σ, a mark and arcs from its tied, settled neighbours
@@ -239,6 +245,45 @@ object LocalBrandes {
           }
           dist(v) = 0; order(visited) = v; visited += 1
         }
+      }
+    }
+
+    /** Adds the entry (d, v) to the heap. This and [[popTop]] are
+      * `java.util.PriorityQueue`'s sift-up and sift-down under
+      * `Double.compare` on the distance, so entries with tied distances
+      * leave in the order that queue gives them.
+      */
+    private def push(d: Double, v: Int): Unit = {
+      val hd = heapDist; val hv = heapVertex
+      var k = heapSize
+      heapSize += 1
+      var moving = true
+      while (k > 0 && moving) {
+        val parent = (k - 1) >>> 1
+        if (java.lang.Double.compare(d, hd(parent)) >= 0) moving = false
+        else { hd(k) = hd(parent); hv(k) = hv(parent); k = parent }
+      }
+      hd(k) = d; hv(k) = v
+    }
+
+    /** Removes the heap's least entry, (heapDist(0), heapVertex(0)). */
+    private def popTop(): Unit = {
+      val hd = heapDist; val hv = heapVertex
+      heapSize -= 1
+      val n = heapSize
+      if (n > 0) {
+        val xd = hd(n); val xv = hv(n)
+        val half = n >>> 1
+        var k = 0
+        var moving = true
+        while (k < half && moving) {
+          var child = (k << 1) + 1
+          val right = child + 1
+          if (right < n && java.lang.Double.compare(hd(child), hd(right)) > 0) child = right
+          if (java.lang.Double.compare(xd, hd(child)) <= 0) moving = false
+          else { hd(k) = hd(child); hv(k) = hv(child); k = child }
+        }
+        hd(k) = xd; hv(k) = xv
       }
     }
 
@@ -341,13 +386,20 @@ object LocalBrandes {
   }
 
   /** The distinct vertices among `first` and `rest`, which must lie in
-    * `0 until n` (a sampler's initial state and its proposals).
+    * `0 until n` (a sampler's initial state and its proposals). The scan
+    * stops once all n are marked: a chain of T ≫ n log n uniform proposals
+    * has proposed every vertex after about n ln n of them.
     */
   def markSources(n: Int, first: Int, rest: Array[Int]): BitSet = {
     val marked = new BitSet(n)
     marked.set(first)
+    var unmarked = n - 1
     var i = 0
-    while (i < rest.length) { marked.set(rest(i)); i += 1 }
+    while (unmarked > 0 && i < rest.length) {
+      val v = rest(i)
+      if (!marked.get(v)) { marked.set(v); unmarked -= 1 }
+      i += 1
+    }
     marked
   }
 

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{CSRGraph, LocalBrandes}
 import repro.graphgen.GraphGen
+import repro.testutil.TestGraphs
 
 /** Estimates at a fixed seed, pinned bit for bit. The values were taken
   * before the samplers moved to primitive δ columns, the baselines to `Lcg`
@@ -64,5 +65,19 @@ class GoldenEstimatesSpec extends AnyFunSuite {
     val table = LocalBrandes.dependencyTable(ba, LocalBrandes.allSources(ba.n), top5)
     assert(java.util.Arrays.hashCode(table) == 872666199)
     assert(java.util.Arrays.hashCode(LocalBrandes.bc(CSRGraph.fromEdges(GraphGen.grid(12, 12)))) == -1490818184)
+  }
+
+  test("weighted kernel outputs: BA(300,3,7) with weights in {1,2,3} and WS(300,4,0.2,3) with irregular real weights") {
+    // hashes of every entry's bits, as above: Dijkstra's settle order (and so
+    // σ's summation order) at tied distances shows in them
+    def irregular(e: (Int, Int)): Double = 0.1 + ((e._1 * 2654435761L + e._2 * 40503L) % 10007) / 1234.567
+    val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L), TestGraphs.smallWeights)
+    val ws = CSRGraph.fromEdges(GraphGen.wattsStrogatz(300, 4, 0.2, 3L), irregular)
+    for ((name, g, bcHash, tableHash) <- Seq(("BA", ba, 1630382558, 725835703), ("WS", ws, 227839361, 828796033))) {
+      val top5 = (0 until g.n).sortBy(v => (-g.degree(v), v)).take(5).toArray
+      val table = LocalBrandes.dependencyTable(g, LocalBrandes.allSources(g.n), top5)
+      val bc = LocalBrandes.bc(g)
+      assert((java.util.Arrays.hashCode(bc), java.util.Arrays.hashCode(table)) == ((bcHash, tableHash)), name)
+    }
   }
 }

@@ -55,4 +55,29 @@ class LcgSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](new Lcg(1L).nextInt(0))
     assertThrows[IllegalArgumentException](new Lcg(1L).nextInt(-3))
   }
+
+  test("fillInts gives the sequential nextInt draws and generator state at every chunk count") {
+    // 2^30 + 1 rejects about half of all outputs, Int.MaxValue one in 2^31;
+    // 1 and 2 are powers of two, which reject nothing
+    val bounds = Seq(1, 2, 2000, (1 << 30) + 1, Int.MaxValue)
+    for (seed <- Seeds.take(4); bound <- bounds; count <- Seq(0, 1, 5, 10007)) {
+      val seq = new Lcg(seed)
+      val first = seq.nextInt(34) // a generator part-way through its stream, as in the samplers
+      val expected = Array.fill(count)(seq.nextInt(bound))
+      for (chunks <- Seq(1, 2, 3, 7, count + 3)) {
+        val bulk = new Lcg(seed)
+        assert(bulk.nextInt(34) == first)
+        val out = new Array[Int](count)
+        bulk.fillInts(out, bound, chunks)
+        val at = s"seed $seed, bound $bound, $count draws, $chunks chunks"
+        assert(out.sameElements(expected), at)
+        val after = new Lcg(seed)
+        after.nextInt(34)
+        (0 until count).foreach(_ => after.nextInt(bound))
+        assert(bulk.nextInt(bound) == after.nextInt(bound), at)
+        assert(bulk.nextDouble() == after.nextDouble(), at)
+      }
+    }
+    assertThrows[IllegalArgumentException](new Lcg(1L).fillInts(new Array[Int](3), 0, 1))
+  }
 }

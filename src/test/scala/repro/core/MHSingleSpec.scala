@@ -198,6 +198,53 @@ class MHSingleSpec extends SparkSpec {
     assert(e.getMessage.contains("source 5 was not evaluated"), e.getMessage)
   }
 
+  test("the walk gives the same states and accepted flags at every chunk count") {
+    def sameAtEveryChunkCount(what: String, seed: Long, s0: Int, props: Array[Int], weight: Array[Double],
+                              width: Int): Unit = {
+      val (states, accepted) = MHSingle.independenceWalk(seed, s0, props, weight, width, 1)
+      for (chunks <- Seq(2, 3, 8, props.length + 5)) {
+        val (s, a) = MHSingle.independenceWalk(seed, s0, props, weight, width, chunks)
+        assert(s.sameElements(states) && a.sameElements(accepted), s"$what, $chunks chunks")
+      }
+    }
+    def single(what: String, g: CSRGraph, r: Int, T: Int, seed: Long): Unit = {
+      val (v0, props) = MHSingle.drawProposals(g.n, T, seed)
+      sameAtEveryChunkCount(what, seed, v0, props, LocalBrandes.dependencyColumn(g, r), 1)
+    }
+    // a hub (μ = 2.35: almost every chunk couples at once), and a leaf, whose
+    // column is all 0, so δ_max = 0 and no chunk couples
+    single("karate hub r = 0", karate, 0, 5000, 2019L)
+    val leaf = (0 until karate.n).find(karate.degree(_) == 1).get
+    single(s"karate leaf r = $leaf", karate, leaf, 3000, 5L)
+    // μ(r) near n = 300 against 250-step chunks at 8 chunks: many chunks have no coupling point
+    val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L))
+    val all = LocalBrandes.dependencyTable(ba, LocalBrandes.allSources(ba.n), Array.range(0, ba.n))
+    val mus = Array.tabulate(ba.n)(r => Theory.mu(Array.tabulate(ba.n)(v => all(v * ba.n + r))))
+    val worst = mus.indices.filter(r => !mus(r).isInfinite).maxBy(mus)
+    assert(mus(worst) > 100, s"largest finite μ is ${mus(worst)}")
+    single(s"BA(300,3) r = $worst (μ = ${mus(worst)})", ba, worst, 2000, 11L)
+    // the joint chain's flat states v·|R| + k over a 2Clique, with a BC-0 member in R
+    val dc = CSRGraph.fromEdges(GraphGen.doubleClique(4))
+    val R = Array(8, 0, 1)
+    val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, dc.n, 4000, 23L)
+    sameAtEveryChunkCount("joint 2Clique", 23L, v0 * R.length + r0, Array.tabulate(4000)(t => pv(t) * R.length + pr(t)),
+      LocalBrandes.dependencyTable(dc, LocalBrandes.allSources(dc.n), R), R.length)
+  }
+
+  test("an unevaluated delta in a late chunk fails naming the first one in chain order, at every chunk count") {
+    val col = LocalBrandes.dependencyColumn(karate, 0)
+    // vertices 5 and 9 are proposed only at steps 760 and 990 (chunks 6 and 7 of 8)
+    val props = MHSingle.drawProposals(karate.n, 1000, 3L)._2.map(v => if (v == 5 || v == 9) 0 else v)
+    props(760) = 5
+    props(990) = 9
+    col(5) = Double.NaN
+    col(9) = Double.NaN
+    for (chunks <- Seq(1, 2, 3, 8, props.length + 5)) {
+      val e = intercept[NoSuchElementException](MHSingle.independenceWalk(1L, 1, props, col, 1, chunks))
+      assert(e.getMessage == "the dependency of source 5 was not evaluated", s"$chunks chunks: ${e.getMessage}")
+    }
+  }
+
   test("estimators return NaN, not a silent value, when a sampled delta is missing") {
     val chain = MHSingle.run(karate, 0, 300, 47L)
     def withMissing(v: Int): Chain = {

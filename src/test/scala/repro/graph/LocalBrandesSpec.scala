@@ -141,6 +141,20 @@ class LocalBrandesSpec extends AnyFunSuite {
       assert(LocalBrandes.dependency(g, v)(v) == 0.0, s"delta_{$v}($v)")
   }
 
+  test("markSources marks the distinct sources, also when it stops scanning once all n are marked") {
+    val rnd = new scala.util.Random(3L)
+    val cases = Seq(
+      (5, 2, Array(0, 1, 3, 4, 4, 0, 2, 1)), // all 5 marked at index 3: the rest is not read
+      (5, 4, Array(4, 4, 0)),
+      (6, 0, Array.empty[Int]),
+      (50, 7, Array.fill(1000)(rnd.nextInt(50))),
+      (50, 7, Array.fill(20)(rnd.nextInt(50))))
+    for ((n, first, rest) <- cases) {
+      val marked = LocalBrandes.markSources(n, first, rest)
+      assert(marked == LocalBrandes.markSources(n, first +: rest.toSeq), s"n = $n, ${rest.length} sources")
+    }
+  }
+
   test("a non-finite dependency fails the table build (sigma overflow on a 530x530 grid)") {
     // from a corner, sigma to the far side exceeds Double's range, so the
     // sweep computes NaN, which the table would pass off as "not evaluated"
