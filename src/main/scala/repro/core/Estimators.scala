@@ -28,7 +28,7 @@ object Estimators {
 
   /** Total-variation distance between two distributions on the same support. */
   def tvDistance(p: Array[Double], q: Array[Double]): Double = {
-    require(p.length == q.length)
+    require(p.length == q.length, s"distributions have lengths ${p.length} and ${q.length}")
     0.5 * p.indices.map(i => math.abs(p(i) - q(i))).sum
   }
 

@@ -20,7 +20,8 @@ object Theory {
     * (ε,δ)-approximation, T ≥ μ(r)²/(2ε²) · ln(2/δ).
     */
   def sampleBound(mu: Double, eps: Double, delta: Double): Double = {
-    require(eps > 0 && delta > 0 && delta < 1)
+    require(eps > 0 && delta > 0 && delta < 1,
+      s"sampleBound needs eps > 0 and 0 < delta < 1, got eps=$eps, delta=$delta")
     mu * mu / (2 * eps * eps) * math.log(2.0 / delta)
   }
 

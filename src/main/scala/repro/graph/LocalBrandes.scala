@@ -68,6 +68,30 @@ object LocalBrandes {
     * parents, since IEEE `+` commutes. The BFS stops as soon as every vertex
     * is visited.
     *
+    * Neither level step runs a branch that depends on a scanned arc's data,
+    * which would be taken at random and mispredict (Green, Dukhan & Vuduc
+    * 2015, branch-avoiding graph algorithms). Top down, every arc v→w stores
+    * w at the order's tail and moves the tail on by fresh = 1 if w was
+    * undiscovered, sets dist(w) by arithmetic, and adds to σ(w) the bits of
+    * σ(v) masked by child = 1 if w is at the next level. A marked v also
+    * stores the arc in the next slot, links it into w's list only if child,
+    * moves the arc count on by child and ORs child into w's mark. Bottom up,
+    * the level first writes its frontier record: σ(v) and
+    * (position << 1 | mark) for each frontier v. Each arc u—v then adds the
+    * record's σ to σ(u), takes the least position and pushes the arc masked
+    * by the record's mark, two loads per arc. The level resets the record
+    * after it, so between levels and passes it holds 0.0 and −1 for every
+    * vertex, as the construction's fill left it. Bottom up walks a list of
+    * the unvisited vertices in id order, filled by a pass's first bottom-up
+    * level and compacted by each later one, rather than all n vertices. A
+    * masked term is +0.0, and x + 0.0 has the bits of x for every σ ≥ 0, so
+    * σ, the arcs and their order, hence δ, keep the bits of the branching
+    * loops. The unconditional stores need a spare slot past the end of
+    * `order` (n + 1): the top-down level that discovers the last vertex may
+    * scan more arcs. The arc arrays keep one too (m + 1) for the store past
+    * the last arc, though on a simple graph a pass that fills all m slots,
+    * as on a tree, scans no arc after the last one.
+    *
     * Dijkstra settles the vertices in order of distance, comparing distances
     * with [[tied]]. A vertex w, when settled, takes from its already-settled
     * neighbours v with d(v) + wt(v, w) tied to d(w) the sum of their σ, a
@@ -85,13 +109,19 @@ object LocalBrandes {
     private val dist = new Array[Int](g.n) // this array and the next four are cleared by every pass; Dijkstra: 0 once settled
     private val sigma = new Array[Double](g.n)
     private val delta = new Array[Double](g.n)
-    private val marked = new Array[Boolean](g.n)
+    private val marked = new Array[Byte](g.n) // 1 if marked, else 0
     private val lastArc = new Array[Int](g.n) // head of w's predecessor-arc list, −1 if empty
-    private val order = new Array[Int](g.n) // visitation order, valid up to `visited`
-    private val arcFrom = new Array[Int](g.m) // arc a = arcFrom(a) → the w whose list holds a
-    private val nextArc = new Array[Int](g.m) // the next arc in the same list, −1 at its end
-    private val rank = new Array[Int](g.n) // bottom up: a frontier vertex's place in its level, a new one's parent's
+    private val order = new Array[Int](g.n + 1) // visitation order, valid up to `visited`; one spare slot
+    private val arcFrom = new Array[Int](g.m + 1) // arc a = arcFrom(a) → the w whose list holds a; one spare slot
+    private val nextArc = new Array[Int](g.m + 1) // the next arc in the same list, −1 at its end
+    // bottom up: the frontier record, σ(v) and (position << 1 | mark of v) for
+    // each v of the level being expanded, 0.0 and −1 for every other vertex
+    private val frontierSigma = new Array[Double](g.n)
+    private val frontierKey = new Array[Int](g.n)
+    java.util.Arrays.fill(frontierKey, -1)
+    private val unvisited = new Array[Int](g.n) // bottom up: every unvisited vertex (and maybe some visited), in id order
     private val found = new Array[Int](g.n) // bottom up: the vertices of the new level, in id order
+    private val firstParent = new Array[Int](g.n) // bottom up: found(i)'s least parent position in the frontier
     private val bucket = new Array[Int](g.n + 1) // bottom up: counting-sort bucket starts, one per frontier position
     private val weightedDist = new Array[Double](if (g.weighted) g.n else 0) // Dijkstra: tentative distances
     // Dijkstra: a binary min-heap of (distance, vertex) entries, stale ones
@@ -101,6 +131,7 @@ object LocalBrandes {
     private var heapSize = 0
     private var visited = 0
     private var arcs = 0
+    private var listed = -1 // the length of `unvisited`, −1 until a pass's first bottom-up level fills it
 
     /** The forward step alone from s; [[distTo]], [[distance]] and [[sigmaTo]] then read its SPD. */
     def shortestPaths(s: Int): Unit = pass(s, Array.emptyIntArray, whole = false)
@@ -166,13 +197,13 @@ object LocalBrandes {
       val sigma = this.sigma; val delta = this.delta; val order = this.order; val lastArc = this.lastArc
       val arcFrom = this.arcFrom; val nextArc = this.nextArc
       java.util.Arrays.fill(dist, -1); java.util.Arrays.fill(sigma, 0.0); java.util.Arrays.fill(delta, 0.0)
-      java.util.Arrays.fill(marked, false); java.util.Arrays.fill(lastArc, -1)
+      java.util.Arrays.fill(marked, 0.toByte); java.util.Arrays.fill(lastArc, -1)
       dist(s) = 0; sigma(s) = 1.0
       order(0) = s
-      visited = 1; arcs = 0
+      visited = 1; arcs = 0; listed = -1
       var i = 0
-      while (i < targets.length) { marked(targets(i)) = true; i += 1 }
-      marked(s) = whole
+      while (i < targets.length) { marked(targets(i)) = 1; i += 1 }
+      marked(s) = if (whole) 1 else 0
 
       if (g.weighted) dijkstra(s) else bfs(s)
 
@@ -236,8 +267,8 @@ object LocalBrandes {
             val u = nbr(j)
             if (dist(u) == 0 && tied(wd(u) + wt(j), wd(v))) {
               sigma(v) += sigma(u)
-              if (marked(u)) {
-                marked(v) = true
+              if (marked(u) != 0) {
+                marked(v) = 1
                 arcFrom(arcs) = u; nextArc(arcs) = lastArc(v); lastArc(v) = arcs; arcs += 1
               }
             }
@@ -289,32 +320,48 @@ object LocalBrandes {
 
     /** Expand the level at distance d, `order(lo until hi)`, from its
       * vertices: append the next level to the order as it is discovered.
+      * No branch depends on a scanned arc's data (see [[Kernel]]).
       */
     private def topDown(lo: Int, hi: Int, d: Int): Unit = {
       val dist = this.dist; val sigma = this.sigma; val order = this.order
       val marked = this.marked; val lastArc = this.lastArc
       val arcFrom = this.arcFrom; val nextArc = this.nextArc
       val offsets = g.offsets; val nbr = g.neighbors
-      val dw = d + 1
+      val step = d + 2 // takes an undiscovered w's −1 to d + 1
       var tail = visited; var a = arcs
       var i = lo
       while (i < hi) {
         val v = order(i); i += 1
-        val sv = sigma(v)
-        val mv = marked(v)
+        val sv = java.lang.Double.doubleToRawLongBits(sigma(v))
         var j = offsets(v)
         val end = offsets(v + 1)
-        while (j < end) {
-          val w = nbr(j)
-          if (dist(w) < 0) { dist(w) = dw; order(tail) = w; tail += 1 }
-          if (dist(w) == dw) {
-            sigma(w) += sv
-            if (mv) {
-              marked(w) = true
-              arcFrom(a) = v; nextArc(a) = lastArc(w); lastArc(w) = a; a += 1
-            }
+        // two copies of the loop, so an unmarked v stores no arcs: one loop
+        // with the push masked by v's mark as well measured 1.7× slower
+        if (marked(v) == 0) {
+          while (j < end) {
+            val w = nbr(j)
+            val fresh = dist(w) >>> 31
+            order(tail) = w; tail += fresh
+            val dw = dist(w) + fresh * step
+            dist(w) = dw
+            val child = (d - dw) >>> 31 // dw ≤ d + 1, so 1 iff w is at d + 1
+            sigma(w) += java.lang.Double.longBitsToDouble(sv & -child.toLong)
+            j += 1
           }
-          j += 1
+        } else {
+          while (j < end) {
+            val w = nbr(j)
+            val fresh = dist(w) >>> 31
+            order(tail) = w; tail += fresh
+            val dw = dist(w) + fresh * step
+            dist(w) = dw
+            val child = (d - dw) >>> 31
+            sigma(w) += java.lang.Double.longBitsToDouble(sv & -child.toLong)
+            val head = lastArc(w)
+            arcFrom(a) = v; nextArc(a) = head; lastArc(w) = head + ((a - head) & -child); a += child
+            marked(w) = (marked(w) | child).toByte
+            j += 1
+          }
         }
       }
       visited = tail; arcs = a
@@ -322,53 +369,62 @@ object LocalBrandes {
 
     /** Expand the level at distance d, `order(lo until hi)`, from the
       * unvisited vertices, then sort the next level into top-down order.
+      * Through the frontier record, no branch depends on a scanned arc's
+      * data (see [[Kernel]]).
       */
     private def bottomUp(lo: Int, hi: Int, d: Int): Unit = {
       val dist = this.dist; val sigma = this.sigma; val order = this.order
       val marked = this.marked; val lastArc = this.lastArc
       val arcFrom = this.arcFrom; val nextArc = this.nextArc
-      val rank = this.rank; val found = this.found; val bucket = this.bucket
+      val fsig = frontierSigma; val fkey = frontierKey; val unvisited = this.unvisited
+      val found = this.found; val firstParent = this.firstParent; val bucket = this.bucket
       val offsets = g.offsets; val nbr = g.neighbors
       var i = lo
-      while (i < hi) { rank(order(i)) = i - lo; i += 1 }
-      val width = hi - lo
-      var count = 0; var a = arcs
-      var u = 0
-      while (u < g.n) {
-        if (dist(u) < 0) {
-          var su = 0.0; var first = width; var mu = marked(u)
+      while (i < hi) { val v = order(i); fsig(v) = sigma(v); fkey(v) = (i - lo) << 1 | marked(v); i += 1 }
+      if (listed < 0) {
+        listed = 0
+        var u = 0
+        while (u < g.n) { unvisited(listed) = u; listed += dist(u) >>> 31; u += 1 }
+      }
+      var count = 0; var kept = 0; var a = arcs
+      var p = 0
+      while (p < listed) {
+        val u = unvisited(p); p += 1
+        if (dist(u) < 0) { // top down may have visited u since it was listed
+          var su = 0.0; var first = Int.MaxValue; var mu = marked(u).toInt; var head = lastArc(u)
           var j = offsets(u)
           val end = offsets(u + 1)
           while (j < end) {
             val v = nbr(j)
-            if (dist(v) == d) {
-              su += sigma(v)
-              if (rank(v) < first) first = rank(v)
-              if (marked(v)) {
-                mu = true
-                arcFrom(a) = v; nextArc(a) = lastArc(u); lastArc(u) = a; a += 1
-              }
-            }
+            val key = fkey(v)
+            su += fsig(v)
+            first = math.min(first, key >>> 1)
+            val push = key & ~(key >> 31) & 1 // v is a marked parent
+            arcFrom(a) = v; nextArc(a) = head; head += (a - head) & -push; a += push
+            mu |= push
             j += 1
           }
-          if (first < width) {
-            dist(u) = d + 1; sigma(u) = su; marked(u) = mu
-            rank(u) = first; found(count) = u; count += 1
-          }
+          if (first < Int.MaxValue) {
+            dist(u) = d + 1; sigma(u) = su; marked(u) = mu.toByte; lastArc(u) = head
+            firstParent(count) = first; found(count) = u; count += 1
+          } else { unvisited(kept) = u; kept += 1 }
         }
-        u += 1
       }
+      listed = kept
+      i = lo
+      while (i < hi) { val v = order(i); fsig(v) = 0.0; fkey(v) = -1; i += 1 }
 
       // stable counting sort of `found` (in id order) on the first parent's position
+      val width = hi - lo
       java.util.Arrays.fill(bucket, 0, width + 1, 0)
       i = 0
-      while (i < count) { bucket(rank(found(i)) + 1) += 1; i += 1 }
+      while (i < count) { bucket(firstParent(i) + 1) += 1; i += 1 }
       i = 1
       while (i <= width) { bucket(i) += bucket(i - 1); i += 1 }
       i = 0
       while (i < count) {
-        val w = found(i); val k = rank(w)
-        order(visited + bucket(k)) = w; bucket(k) += 1
+        val k = firstParent(i)
+        order(visited + bucket(k)) = found(i); bucket(k) += 1
         i += 1
       }
       visited += count; arcs = a

@@ -61,7 +61,7 @@ object GraphGen {
 
   /** rows x cols grid; vertex (r,c) is id r*cols + c. */
   def grid(rows: Int, cols: Int): EdgeList = {
-    require(rows >= 1 && cols >= 1)
+    require(rows >= 1 && cols >= 1, s"grid needs rows >= 1 and cols >= 1, got rows=$rows, cols=$cols")
     val es = mutable.ArrayBuffer.empty[(Int, Int)]
     for (r <- 0 until rows; c <- 0 until cols) {
       val id = r * cols + c
@@ -73,7 +73,8 @@ object GraphGen {
 
   /** Complete `branch`-ary tree of the given depth (depth 0 = single root). */
   def balancedTree(branch: Int, depth: Int): EdgeList = {
-    require(branch >= 2 && depth >= 0)
+    require(branch >= 2 && depth >= 0,
+      s"balancedTree needs branch >= 2 and depth >= 0, got branch=$branch, depth=$depth")
     val es = mutable.ArrayBuffer.empty[(Int, Int)]
     var frontier = Vector(0)
     var next = 1
@@ -93,7 +94,7 @@ object GraphGen {
     * so μ(r) is Θ(1). The separator vertex id is `2k`.
     */
   def doubleClique(k: Int): EdgeList = {
-    require(k >= 2)
+    require(k >= 2, s"doubleClique needs k >= 2, got k=$k")
     val a = for { u <- 0 until k; v <- u + 1 until k } yield (u, v)
     val b = for { u <- k until 2 * k; v <- u + 1 until 2 * k } yield (u, v)
     canon(2 * k + 1, a ++ b ++ Seq((0, 2 * k), (k, 2 * k)))
@@ -104,7 +105,7 @@ object GraphGen {
     * vertex separator when the cliques have equal size.
     */
   def barbell(k: Int, pathLen: Int): EdgeList = {
-    require(k >= 2 && pathLen >= 1)
+    require(k >= 2 && pathLen >= 1, s"barbell needs k >= 2 and pathLen >= 1, got k=$k, pathLen=$pathLen")
     val a = for { u <- 0 until k; v <- u + 1 until k } yield (u, v)
     val b = for { u <- k until 2 * k; v <- u + 1 until 2 * k } yield (u, v)
     val chain = (0 until pathLen).map(i => 2 * k + i)
@@ -118,7 +119,7 @@ object GraphGen {
     * unioned with G(n, p) edges.
     */
   def erdosRenyi(n: Int, p: Double, seed: Long): EdgeList = {
-    require(n >= 2 && p >= 0 && p <= 1)
+    require(n >= 2 && p >= 0 && p <= 1, s"erdosRenyi needs n >= 2 and 0 <= p <= 1, got n=$n, p=$p")
     val rnd = new Random(seed)
     val es = mutable.ArrayBuffer.empty[(Int, Int)]
     for (v <- 1 until n) es += ((rnd.nextInt(v), v)) // random spanning tree
@@ -132,7 +133,7 @@ object GraphGen {
     * betweenness is itself power-law distributed [Barthelemy 2004].
     */
   def barabasiAlbert(n: Int, m: Int, seed: Long): EdgeList = {
-    require(m >= 1 && n > m + 1)
+    require(m >= 1 && n > m + 1, s"barabasiAlbert needs m >= 1 and n > m + 1, got n=$n, m=$m")
     val rnd = new Random(seed)
     val ends = mutable.ArrayBuffer.empty[Int] // vertex appears deg(v) times
     val es = mutable.ArrayBuffer.empty[(Int, Int)]
@@ -151,7 +152,8 @@ object GraphGen {
     * connected, as the paper assumes.
     */
   def wattsStrogatz(n: Int, k: Int, beta: Double, seed: Long): EdgeList = {
-    require(k >= 2 && k % 2 == 0 && n > k && beta >= 0 && beta <= 1)
+    require(k >= 2 && k % 2 == 0 && n > k && beta >= 0 && beta <= 1,
+      s"wattsStrogatz needs an even k >= 2, n > k and 0 <= beta <= 1, got n=$n, k=$k, beta=$beta")
     val rnd = new Random(seed)
     val set = mutable.Set.empty[(Int, Int)]
     def norm(a: Int, b: Int) = if (a < b) (a, b) else (b, a)

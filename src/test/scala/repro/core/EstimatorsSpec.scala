@@ -49,6 +49,8 @@ class EstimatorsSpec extends AnyFunSuite {
     assert(Estimators.tvDistance(p, p) == 0.0)
     assert(Estimators.tvDistance(p, q) == 1.0)
     assert(Estimators.tvDistance(p, q) == Estimators.tvDistance(q, p))
+    val e = intercept[IllegalArgumentException](Estimators.tvDistance(p, Array(1.0)))
+    assert(e.getMessage.contains("lengths 3 and 1"), e.getMessage)
   }
 
   test("cappedRatio conventions: b>0 normal, 0/0 -> 0, a>0 over 0 -> 1") {

@@ -89,6 +89,11 @@ class TheorySpec extends AnyFunSuite {
     assert(approxEq(Theory.sampleBound(1.0, 0.05, 0.1), 4 * b1))
   }
 
+  test("sampleBound names eps and delta when they are out of range") {
+    val e = intercept[IllegalArgumentException](Theory.sampleBound(1.0, 0.1, 1.5))
+    assert(e.getMessage.contains("eps=0.1") && e.getMessage.contains("delta=1.5"), e.getMessage)
+  }
+
   test("errorProbability decreases in T and saturates at 1 for tiny T") {
     val p1 = Theory.errorProbability(2.0, 0.1, 10)
     val p2 = Theory.errorProbability(2.0, 0.1, 10000)

@@ -20,6 +20,19 @@ class JobsSpec extends AnyFunSuite {
     }
   }
 
+  test("a spec whose fields parse but are out of range names the generator's parameters and their values") {
+    for ((spec, parts) <- Seq(
+      "ba:3:4:7" -> Seq("barabasiAlbert", "n=3", "m=4"),
+      "grid:0:5" -> Seq("grid", "rows=0", "cols=5"),
+      "er:1:0.5:7" -> Seq("erdosRenyi", "n=1", "p=0.5"),
+      "ws:10:3:0.1:2" -> Seq("wattsStrogatz", "n=10", "k=3", "beta=0.1"),
+      "barbell:1:2" -> Seq("barbell", "k=1", "pathLen=2"),
+      "doubleclique:1" -> Seq("doubleClique", "k=1"))) {
+      val e = intercept[IllegalArgumentException](Jobs.graph(spec))
+      assert(parts.forall(e.getMessage.contains), s"$spec: ${e.getMessage}")
+    }
+  }
+
   test("the jobs report their usage on a bad r, R, T, seed or topK") {
     def failure(run: Array[String] => Unit, args: String*): String =
       intercept[IllegalArgumentException](run(args.toArray)).getMessage
