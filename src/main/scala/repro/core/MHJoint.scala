@@ -19,12 +19,14 @@ final case class JointChain(
     statesV: Array[Int],
     propsR: Array[Int],
     propsV: Array[Int],
-    accepted: Array[Boolean],
     delta: Array[Double]) {
 
   def T: Int = propsV.length
 
-  def acceptanceRate: Double = if (T == 0) 0.0 else accepted.count(identity).toDouble / T
+  /** Whether step t's proposal was accepted, read as [[Chain.accepted]] on both coordinates. */
+  def accepted(t: Int): Boolean = statesR(t + 1) == propsR(t) && statesV(t + 1) == propsV(t)
+
+  def acceptanceRate: Double = MHSingle.acceptanceRate(T, accepted)
 
   /** Iterations whose r-component is R(k) — the multiset S(k) of the paper. */
   def sampleIndices(k: Int): Array[Int] = {
@@ -71,6 +73,10 @@ final case class JointChain(
   * v needs one Brandes pass — which yields δ_{v•}(x) for *every* x at once,
   * so the whole R-restricted dependency table for a chain is one Spark job
   * ([[SparkBrandes.dependencyTable]]).
+  *
+  * Disconnected graphs behave as in [[MHSingle]]. Members of R in different
+  * components have disjoint supports, so Eq. 22 sums only the samples before
+  * the chain enters the support: NaN (Theorem 3's 0/0) if it starts there, else 0 or +∞.
   */
 object MHJoint {
 
@@ -88,7 +94,7 @@ object MHJoint {
 
   /** Accept/reject walk over a δ table (n × |R|, see [[JointChain.delta]]):
     * [[MHSingle.walk]]'s loop over the flat states v·|R| + k, so the same
-    * zero-δ conventions and missing-δ failure hold.
+    * zero-δ conventions and failures hold, naming the source v.
     */
   def walk(R: Array[Int], n: Int, seed: Long, r0: Int, v0: Int,
            propsR: Array[Int], propsV: Array[Int],
@@ -100,12 +106,12 @@ object MHJoint {
     val props = new Array[Int](T)
     var t = 0
     while (t < T) { props(t) = propsV(t) * width + propsR(t); t += 1 }
-    val (states, accepted) = MHSingle.independenceWalk(seed, v0 * width + r0, props, delta, width, Chunks.default)
+    val states = MHSingle.independenceWalk(seed, v0 * width + r0, props, delta, width, Chunks.default)
     val statesR = new Array[Int](T + 1)
     val statesV = new Array[Int](T + 1)
     t = 0
     while (t <= T) { statesR(t) = states(t) % width; statesV(t) = states(t) / width; t += 1 }
-    JointChain(R, n, seed, statesR, statesV, propsR, propsV, accepted, delta)
+    JointChain(R, n, seed, statesR, statesV, propsR, propsV, delta)
   }
 
   /** Run fully locally. */

@@ -11,7 +11,6 @@ import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
   * @param seed      RNG seed (chains are pure functions of (graph, r, T, seed))
   * @param states    chain state at every iteration t = 0..T (length T+1)
   * @param proposals vertex proposed at iteration t = 1..T (length T)
-  * @param accepted  whether iteration t's proposal was accepted (length T)
   * @param delta     the δ column (length n): δ_{v•}(r) for every vertex that
   *                  appeared as state/proposal, NaN ("not evaluated") elsewhere
   */
@@ -21,12 +20,15 @@ final case class Chain(
     seed: Long,
     states: Array[Int],
     proposals: Array[Int],
-    accepted: Array[Boolean],
     delta: Array[Double]) {
 
   def T: Int = proposals.length
 
-  def acceptanceRate: Double = if (T == 0) 0.0 else accepted.count(identity).toDouble / T
+  /** Whether step t's proposal was accepted: a self-proposal has ratio 1
+    * (δ = 0, or finite δ/δ = 1.0), which the uniform u < 1 always accepts. */
+  def accepted(t: Int): Boolean = states(t + 1) == proposals(t)
+
+  def acceptanceRate: Double = MHSingle.acceptanceRate(T, accepted)
 
   /** Paper's estimator, Eq. 7, reading M as the multiset of chain states
     * (consistent with Theorem 1's n = T+1 samples):
@@ -120,6 +122,9 @@ final case class Chain(
   * sequential loop: the draw jumps the LCG ahead to each chunk's start, and
   * the walk stitches its chunks with the coupling described at
   * [[independenceWalk]].
+  *
+  * On a disconnected graph a source outside r's component has δ_{v•}(r) = 0:
+  * it is outside supp(π_r) and the harmonic estimator's support estimate.
   */
 object MHSingle {
 
@@ -141,18 +146,19 @@ object MHSingle {
     *
     * @throws NoSuchElementException if the column has no δ for v0 or for a
     *   proposal; it names v0, or else the first such proposal in chain order
+    * @throws IllegalArgumentException if an entry of the column is negative
+    *   or +∞; it names the source
     */
   def walk(r: Int, n: Int, seed: Long, v0: Int, proposals: Array[Int],
            delta: Array[Double]): Chain = {
     require(delta.length == n, s"delta column has length ${delta.length}, expected n=$n")
-    val (states, accepted) = independenceWalk(seed, v0, proposals, delta, 1, Chunks.default)
-    Chain(r, n, seed, states, proposals, accepted, delta)
+    Chain(r, n, seed, independenceWalk(seed, v0, proposals, delta, 1, Chunks.default), proposals, delta)
   }
 
   /** The one Independence-MH accept/reject loop of both samplers, over flat
     * states s indexing `weight`, which holds `width` entries per source vertex
-    * s / width. Conventions and failure as in [[walk]]; returns (states,
-    * accepted), the same bits at every chunk count.
+    * s / width. Conventions and failures as in [[walk]], checked up front;
+    * returns the T + 1 states, the same bits at every chunk count.
     *
     * The walk runs in `chunks` chunks of steps at once, because copies of an
     * independence chain started from different states merge at the first
@@ -172,75 +178,51 @@ object MHSingle {
     * ahead to its first step.
     */
   private[core] def independenceWalk(seed: Long, s0: Int, proposals: Array[Int], weight: Array[Double],
-                                     width: Int, chunks: Int): (Array[Int], Array[Boolean]) = {
+                                     width: Int, chunks: Int): Array[Int] = {
+    val dmax = couplingBound(s0, proposals, weight, width)
     val T = proposals.length
     val states = new Array[Int](T + 1)
-    val accepted = new Array[Boolean](T)
     states(0) = s0
-    if (weight(s0).isNaN) unevaluated(s0 / width)
-    val dmax = couplingBound(weight)
     val k = Chunks.count(T, chunks)
     def lo(c: Int): Int = Chunks.start(T, k, c)
     val tau = new Array[Int](k) // c ≥ 1: chunk c's first step that every state accepts, lo(c + 1) if none
-    val missing = new Array[Int](k) // chunk c's first step with an unevaluated proposal, lo(c + 1) if none
     Chunks.run(k) { c =>
       val hi = lo(c + 1)
       val rnd = stream(seed, lo(c))
-      if (c == 0) missing(c) = steps(rnd, lo(c), hi, s0, proposals, weight, states, accepted)
+      if (c == 0) steps(rnd, lo(c), hi, s0, proposals, weight, states)
       else {
         var t = lo(c)
-        var found = false
-        var nan = false
-        while (t < hi && !found && !nan) {
-          val dp = weight(proposals(t))
-          if (dp.isNaN) nan = true
-          else { found = rnd.nextDouble() < dp / dmax; t += 1 }
-        }
-        if (found) {
-          tau(c) = t - 1
-          accepted(t - 1) = true
-          states(t) = proposals(t - 1)
-          missing(c) = steps(rnd, t, hi, proposals(t - 1), proposals, weight, states, accepted)
-        } else {
-          tau(c) = hi
-          missing(c) = if (nan) t else hi
+        while (t < hi && !(rnd.nextDouble() < weight(proposals(t)) / dmax)) t += 1
+        tau(c) = t
+        if (t < hi) {
+          states(t + 1) = proposals(t)
+          steps(rnd, t + 1, hi, proposals(t), proposals, weight, states)
         }
       }
     }
-    var c = 0
+    var c = 1
     while (c < k) {
-      if (missing(c) < lo(c + 1)) unevaluated(proposals(missing(c)) / width)
+      steps(stream(seed, lo(c)), lo(c), tau(c), states(lo(c)), proposals, weight, states)
       c += 1
     }
-    c = 1
-    while (c < k) {
-      steps(stream(seed, lo(c)), lo(c), tau(c), states(lo(c)), proposals, weight, states, accepted)
-      c += 1
-    }
-    (states, accepted)
+    states
   }
 
   /** Steps `from until to` of the walk, from state `start` and drawing from
-    * `rnd`: writes accepted(t) and states(t + 1), and returns the first step
-    * whose proposal is unevaluated, or `to`.
-    */
+    * `rnd`: writes states(t + 1). */
   private def steps(rnd: Lcg, from: Int, to: Int, start: Int, proposals: Array[Int], weight: Array[Double],
-                    states: Array[Int], accepted: Array[Boolean]): Int = {
+                    states: Array[Int]): Unit = {
     var cur = start
     var dc = weight(cur)
     var t = from
     while (t < to) {
       val prop = proposals(t)
       val dp = weight(prop)
-      if (dp.isNaN) return t
       val ratio = if (dc == 0.0) 1.0 else dp / dc
-      val acc = rnd.nextDouble() < math.min(1.0, ratio)
-      if (acc) { cur = prop; dc = dp }
-      accepted(t) = acc
+      if (rnd.nextDouble() < math.min(1.0, ratio)) { cur = prop; dc = dp }
       states(t + 1) = cur
       t += 1
     }
-    to
   }
 
   /** The walk's uniform draws from step t on: its stream jumped t draws
@@ -252,23 +234,33 @@ object MHSingle {
     rnd
   }
 
-  /** The largest evaluated weight, δ_max of the coupling. NaN, which couples
-    * no step, if a weight is negative: dependencies never are, but a caller's
-    * column could be, and the bound then proves nothing.
-    */
-  private def couplingBound(weight: Array[Double]): Double = {
+  /** δ_max of the coupling, the largest weight, after the walk's checks: a
+    * negative or +∞ weight fails naming its source, and a NaN (unevaluated) one
+    * at s0 or a proposal names s0, or else the first such proposal in chain order. */
+  private def couplingBound(s0: Int, proposals: Array[Int], weight: Array[Double], width: Int): Double = {
     var max = 0.0
+    var min = 0.0
     var i = 0
-    while (i < weight.length) {
-      val w = weight(i)
-      if (w > max) max = w else if (w < 0.0) return Double.NaN
-      i += 1
+    while (i < weight.length) { val w = weight(i); if (w > max) max = w else if (w < min) min = w; i += 1 }
+    if (min < 0.0 || max == Double.PositiveInfinity) {
+      val bad = weight.indexWhere(w => w < 0.0 || w == Double.PositiveInfinity)
+      throw new IllegalArgumentException(
+        s"the dependency of source ${bad / width} is ${weight(bad)}; a dependency is finite and non-negative")
+    }
+    // each drawn state once: marking stops once every state is drawn
+    if (LocalBrandes.markSources(weight.length, s0, proposals).stream.anyMatch(weight(_).isNaN)) {
+      val first = (s0 +: proposals).find(weight(_).isNaN).get
+      throw new NoSuchElementException(s"the dependency of source ${first / width} was not evaluated")
     }
     max
   }
 
-  private def unevaluated(v: Int): Nothing =
-    throw new NoSuchElementException(s"the dependency of source $v was not evaluated")
+  private[core] def acceptanceRate(T: Int, accepted: Int => Boolean): Double = {
+    var count = 0
+    var t = 0
+    while (t < T) { if (accepted(t)) count += 1; t += 1 }
+    if (T == 0) 0.0 else count.toDouble / T
+  }
 
   /** Run fully locally (exact dependency kernel, one pass per distinct source). */
   def run(g: CSRGraph, r: Int, T: Int, seed: Long): Chain =

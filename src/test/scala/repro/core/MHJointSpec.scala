@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.graph.{CSRGraph, LocalBrandes}
 import repro.graphgen.GraphGen
+import repro.testutil.TestGraphs
 
 class MHJointSpec extends SparkSpec {
 
@@ -37,7 +38,6 @@ class MHJointSpec extends SparkSpec {
     val spk = MHJoint.runSpark(spark, karate, R, 400, 11L)
     assert(loc.statesR.sameElements(spk.statesR))
     assert(loc.statesV.sameElements(spk.statesV))
-    assert(loc.accepted.sameElements(spk.accepted))
     assert(java.util.Arrays.equals(loc.delta, spk.delta))
   }
 
@@ -174,5 +174,59 @@ class MHJointSpec extends SparkSpec {
       MHJoint.walk(R, karate.n, 1L, r0 = 0, v0 = 1, Array(1, 2, 0), Array(2, 5, 3), table))
     assert(e.getMessage.contains("source 5 was not evaluated"), e.getMessage)
     assert(!e.getMessage.contains(s"source ${5 * R.length + 2} "), e.getMessage)
+  }
+
+  test("walk fails fast on a negative or +∞ dependency of a drawn source, naming the source") {
+    val R = Array(0, 33, 2)
+    for (bad <- Seq(Double.PositiveInfinity, -1.0)) {
+      val table = LocalBrandes.dependencyTable(karate, LocalBrandes.allSources(karate.n), R)
+      table(5 * R.length + 1) = bad
+      val e = intercept[IllegalArgumentException](
+        MHJoint.walk(R, karate.n, 1L, r0 = 0, v0 = 1, Array(1, 2, 0), Array(2, 5, 3), table))
+      assert(e.getMessage.contains(s"the dependency of source 5 is $bad"), e.getMessage)
+    }
+  }
+
+  test("walk needs only the drawn sources' dependencies: a NaN row elsewhere walks") {
+    val R = Array(0, 33)
+    val table = LocalBrandes.dependencyTable(karate, LocalBrandes.allSources(karate.n), R)
+    val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, karate.n, 20, 3L)
+    val undrawn = (0 until karate.n).filter(v => v != v0 && !pv.contains(v))
+    assert(undrawn.nonEmpty)
+    val holed = table.clone()
+    for (v <- undrawn; k <- R.indices) holed(v * R.length + k) = Double.NaN
+    val a = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, holed)
+    val b = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, table)
+    assert(a.statesR.sameElements(b.statesR) && a.statesV.sameElements(b.statesV))
+  }
+
+  test("on karate ⊎ path(10) an R spanning both components has disjoint supports: Eq. 22 sums only the transient") {
+    val g = CSRGraph.fromEdges(TestGraphs.disjointUnion(GraphGen.karateClub, GraphGen.path(10)))
+    val R = Array(0, karate.n + 4)
+    val startsOutside = (1 to 8).count { seed =>
+      val chain = MHJoint.run(g, R, 5000, seed.toLong)
+      def d(t: Int, k: Int): Double = chain.delta(chain.statesV(t) * R.length + k)
+      // the chain enters the support at its first state with δ > 0 and stays,
+      // and there every sample carries δ = 0 for the other member of R
+      val in = (0 to chain.T).indexWhere(t => d(t, chain.statesR(t)) > 0.0)
+      assert(in >= 0 && (in to chain.T).forall(t => d(t, 1 - chain.statesR(t)) == 0.0), s"seed $seed")
+      if (in == 0) assert(chain.ratioEstimate(0, 1).isNaN && chain.ratioEstimate(1, 0).isNaN, s"seed $seed")
+      for ((i, j) <- Seq((0, 1), (1, 0))) {
+        val transient = (0 until in).count(t => chain.statesR(t) == j && d(t, i) > 0.0)
+        assert(chain.relativeEstimate(i, j) == transient.toDouble / chain.sampleIndices(j).length, s"seed $seed")
+      }
+      in > 0
+    }
+    assert(startsOutside > 0 && startsOutside < 8, s"$startsOutside of 8 chains start outside the support")
+  }
+
+  test("a recorded joint chain replays through walk from its own fields, from run and runSpark") {
+    val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L))
+    val R = Array(3, 17, 150)
+    for (chain <- Seq(MHJoint.run(ba, R, 3000, 53L), MHJoint.runSpark(spark, ba, R, 3000, 53L))) {
+      val replay = MHJoint.walk(chain.R, chain.n, chain.seed, chain.statesR(0), chain.statesV(0),
+        chain.propsR, chain.propsV, chain.delta)
+      assert(replay.statesR.sameElements(chain.statesR) && replay.statesV.sameElements(chain.statesV))
+    }
   }
 }

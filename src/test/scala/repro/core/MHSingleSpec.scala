@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.GraphGen
+import repro.testutil.TestGraphs
 
 class MHSingleSpec extends SparkSpec {
 
@@ -21,7 +22,7 @@ class MHSingleSpec extends SparkSpec {
 
   test("walk: chain starts at v0; rejected steps repeat the state") {
     val chain = MHSingle.run(karate, 0, 200, 3L)
-    assert(chain.states.length == 201 && chain.accepted.length == 200)
+    assert(chain.states.length == 201 && chain.proposals.length == 200)
     for (t <- 1 to 200) {
       if (chain.accepted(t - 1)) assert(chain.states(t) == chain.proposals(t - 1))
       else assert(chain.states(t) == chain.states(t - 1))
@@ -31,14 +32,13 @@ class MHSingleSpec extends SparkSpec {
   test("chain is a pure function of (graph, r, T, seed)") {
     val a = MHSingle.run(karate, 33, 300, 11L)
     val b = MHSingle.run(karate, 33, 300, 11L)
-    assert(a.states.sameElements(b.states) && a.accepted.sameElements(b.accepted))
+    assert(a.states.sameElements(b.states))
   }
 
   test("run and runSpark produce bit-identical chains") {
     val loc = MHSingle.run(karate, 0, 400, 21L)
     val spk = MHSingle.runSpark(spark, karate, 0, 400, 21L)
     assert(loc.states.sameElements(spk.states))
-    assert(loc.accepted.sameElements(spk.accepted))
     assert(java.util.Arrays.equals(loc.delta, spk.delta))
   }
 
@@ -201,11 +201,11 @@ class MHSingleSpec extends SparkSpec {
   test("the walk gives the same states and accepted flags at every chunk count") {
     def sameAtEveryChunkCount(what: String, seed: Long, s0: Int, props: Array[Int], weight: Array[Double],
                               width: Int): Unit = {
-      val (states, accepted) = MHSingle.independenceWalk(seed, s0, props, weight, width, 1)
-      for (chunks <- Seq(2, 3, 8, props.length + 5)) {
-        val (s, a) = MHSingle.independenceWalk(seed, s0, props, weight, width, chunks)
-        assert(s.sameElements(states) && a.sameElements(accepted), s"$what, $chunks chunks")
-      }
+      // the acceptances are read off the states, so equal states give equal flags
+      val states = MHSingle.independenceWalk(seed, s0, props, weight, width, 1)
+      for (chunks <- Seq(2, 3, 8, props.length + 5))
+        assert(MHSingle.independenceWalk(seed, s0, props, weight, width, chunks).sameElements(states),
+          s"$what, $chunks chunks")
     }
     def single(what: String, g: CSRGraph, r: Int, T: Int, seed: Long): Unit = {
       val (v0, props) = MHSingle.drawProposals(g.n, T, seed)
@@ -255,5 +255,44 @@ class MHSingleSpec extends SparkSpec {
     assert(withMissing(chain.proposals.last).estimateHarmonic.isNaN)
     val noStart = withMissing(chain.states(0))
     assert(noStart.estimateEq7.isNaN && noStart.ergodicMeanDelta.isNaN && noStart.estimateHarmonic.isNaN)
+  }
+
+  test("walk fails fast on a negative or +∞ dependency of a drawn source, naming the source") {
+    for (bad <- Seq(Double.PositiveInfinity, -1.0)) {
+      val col = LocalBrandes.dependencyColumn(karate, 0)
+      col(5) = bad
+      val e = intercept[IllegalArgumentException](
+        MHSingle.walk(0, karate.n, 1L, v0 = 1, Array(2, 5, 3), col))
+      assert(e.getMessage.contains(s"the dependency of source 5 is $bad"), e.getMessage)
+    }
+  }
+
+  test("walk needs only the drawn sources' dependencies: a NaN elsewhere walks") {
+    val col = LocalBrandes.dependencyColumn(karate, 0)
+    val (v0, props) = MHSingle.drawProposals(karate.n, 20, 3L)
+    val undrawn = (0 until karate.n).filter(v => v != v0 && !props.contains(v))
+    assert(undrawn.nonEmpty)
+    val holed = col.clone()
+    undrawn.foreach(holed(_) = Double.NaN)
+    assert(MHSingle.walk(0, karate.n, 3L, v0, props, holed).states
+      .sameElements(MHSingle.walk(0, karate.n, 3L, v0, props, col).states))
+  }
+
+  test("on karate ⊎ path(10) the other component has δ = 0 and the harmonic estimate finds BC(0)") {
+    val g = CSRGraph.fromEdges(TestGraphs.disjointUnion(GraphGen.karateClub, GraphGen.path(10)))
+    assert(LocalBrandes.dependencyColumn(g, 0).drop(karate.n).forall(_ == 0.0))
+    val bc = LocalBrandes.bc(g)(0)
+    val chain = MHSingle.run(g, 0, 20000, 29L)
+    assert(chain.states.forall(v => v < karate.n || chain.delta(v) == 0.0))
+    val rel = math.abs(chain.estimateHarmonic - bc) / bc
+    assert(rel < 0.2, s"relative error $rel (est=${chain.estimateHarmonic}, bc=$bc)")
+  }
+
+  test("a recorded chain replays through walk from its own fields, from run and runSpark") {
+    val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L))
+    for (chain <- Seq(MHSingle.run(ba, 17, 3000, 53L), MHSingle.runSpark(spark, ba, 17, 3000, 53L))) {
+      val replay = MHSingle.walk(chain.r, chain.n, chain.seed, chain.states(0), chain.proposals, chain.delta)
+      assert(replay.states.sameElements(chain.states))
+    }
   }
 }

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graphgen.{EdgeList, GraphGen}
+import repro.testutil.TestGraphs
 
 /** Seeded ScalaCheck properties of [[LocalBrandes.Kernel]]: on random graphs
   * with random target sets, one reused kernel's table rows, dependency
@@ -21,10 +22,6 @@ class KernelPropertySpec extends AnyFunSuite {
 
   private def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
 
-  /** a and b side by side, b's vertices numbered after a's. */
-  private def union(a: EdgeList, b: EdgeList): EdgeList =
-    EdgeList(a.n + b.n, (a.edges ++ b.edges.map { case (u, v) => (u + a.n, v + a.n) }).sorted)
-
   private val er = for { n <- Gen.choose(2, 120); p <- Gen.choose(0.0, 0.1); seed <- Gen.long }
     yield GraphGen.erdosRenyi(n, p, seed)
   private val ba = for { m <- Gen.choose(1, 4); n <- Gen.choose(m + 2, 150); seed <- Gen.long }
@@ -32,7 +29,7 @@ class KernelPropertySpec extends AnyFunSuite {
   private val ws = for { k <- Gen.oneOf(2, 4, 6); n <- Gen.choose(k + 1, 120); beta <- Gen.choose(0.0, 1.0); seed <- Gen.long }
     yield GraphGen.wattsStrogatz(n, k, beta, seed)
   private val random = Gen.oneOf(er, ba, ws)
-  private val unions = Gen.choose(2, 3).flatMap(Gen.listOfN(_, random)).map(_.reduce(union))
+  private val unions = Gen.choose(2, 3).flatMap(Gen.listOfN(_, random)).map(_.reduce(TestGraphs.disjointUnion))
   private val dense = for { n <- Gen.choose(200, 300); p <- Gen.choose(0.015, 0.03); seed <- Gen.long }
     yield GraphGen.erdosRenyi(n, p, seed)
   private val trees = Gen.oneOf(

@@ -1,7 +1,7 @@
 package repro.graph
 
 import repro.SparkSpec
-import repro.graphgen.GraphGen
+import repro.graphgen.{EdgeList, GraphGen}
 import repro.testutil.TestGraphs
 
 class SparkBrandesSpec extends SparkSpec {
@@ -91,5 +91,32 @@ class SparkBrandesSpec extends SparkSpec {
       assert(java.util.Arrays.equals(a, b))
       assert(java.util.Arrays.equals(a, LocalBrandes.dependencyTable(g, LocalBrandes.allSources(g.n), targets)))
     } finally pool.shutdown()
+  }
+
+  test("BC is unchanged under a seeded vertex relabelling: BC'(π(v)) = BC(v), locally and on Spark") {
+    def irregular(e: (Int, Int)): Double = 0.1 + ((e._1 * 2654435761L + e._2 * 40503L) % 10007) / 1234.567
+    def close(a: Double, b: Double): Boolean = math.abs(a - b) <= 1e-9 * math.max(math.abs(a), math.abs(b))
+    val rnd = new scala.util.Random(2019L)
+    val graphs = Seq[(String, EdgeList, Option[((Int, Int)) => Double])](
+      ("BA(300,3,7)", GraphGen.barabasiAlbert(300, 3, 7L), None),
+      ("karate", GraphGen.karateClub, None),
+      ("weighted WS(300,4,0.2,3)", GraphGen.wattsStrogatz(300, 4, 0.2, 3L), Some(irregular)))
+    for ((name, el, weight) <- graphs) {
+      val pi = rnd.shuffle((0 until el.n).toVector)
+      val inv = pi.indices.sortBy(pi)
+      def canonical(u: Int, v: Int): (Int, Int) = (math.min(u, v), math.max(u, v))
+      val relabelled = EdgeList(el.n, el.edges.map { case (u, v) => canonical(pi(u), pi(v)) }.sorted)
+      def build(edges: EdgeList, w: ((Int, Int)) => Double): CSRGraph =
+        if (weight.isEmpty) CSRGraph.fromEdges(edges) else CSRGraph.fromEdges(edges, w)
+      val g = build(el, e => weight.get(e))
+      val h = build(relabelled, { case (a, b) => weight.get(canonical(inv(a), inv(b))) })
+      val bc = LocalBrandes.bc(g)
+      val moved = LocalBrandes.bc(h)
+      val viaSpark = if (name == "karate") Some(SparkBrandes.bc(spark, h)) else None
+      for (v <- 0 until el.n) {
+        assert(close(moved(pi(v)), bc(v)), s"$name: BC($v) = ${bc(v)}, relabelled ${moved(pi(v))}")
+        viaSpark.foreach(b => assert(close(b(pi(v)), bc(v)), s"$name on Spark: BC($v) = ${bc(v)}, relabelled ${b(pi(v))}"))
+      }
+    }
   }
 }

@@ -161,6 +161,10 @@ object TestGraphs {
       connectedGraphGen.pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(i.toLong))
     }
 
+  /** a and b side by side, b's vertices numbered after a's. */
+  def disjointUnion(a: EdgeList, b: EdgeList): EdgeList =
+    EdgeList(a.n + b.n, (a.edges ++ b.edges.map { case (u, v) => (u + a.n, v + a.n) }).sorted)
+
   /** Deterministic small integer edge weights in {1, 2, 3}, so weighted ties actually occur. */
   def smallWeights(e: (Int, Int)): Double = 1.0 + (e._1 + 2 * e._2) % 3
 
