@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Baselines
-import repro.graph.{CSRGraph, SparkBrandes}
+import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.GraphGen
 
 /** T6 — sampler comparison at equal sample budget, and per-sample cost
@@ -49,12 +49,15 @@ class T6CompareScaleBench extends SparkSpec {
     val rows = sizes.map { n =>
       val g = CSRGraph.fromEdges(GraphGen.barabasiAlbert(n, 4, 7L))
       val r = BenchUtil.hub(g)
-      val sources = (0 until 1000).map(i => (i * 37) % g.n)
+      val sources = Array.tabulate(1000)(i => (i * 37) % g.n)
+      // a query's path: mark the distinct sources, then one dependencyTable job
+      def evaluate(draws: Array[Int]): Array[Double] =
+        SparkBrandes.dependencyTable(spark, g, LocalBrandes.markSources(g.n, draws(0), draws), Array(r))
       // warm-up to exclude JIT/Spark startup from the measurement
-      SparkBrandes.dependenciesOnTarget(spark, g, sources.take(50), r)
+      evaluate(sources.take(50))
       val t0 = System.nanoTime()
-      SparkBrandes.dependenciesOnTarget(spark, g, sources, r)
-      val perSampleUs = (System.nanoTime() - t0) / 1e3 / sources.distinct.size
+      evaluate(sources)
+      val perSampleUs = (System.nanoTime() - t0) / 1e3 / sources.distinct.length
       Seq(n.toString, g.m.toString, BenchUtil.f(perSampleUs, 1))
     }
     println(BenchUtil.table(

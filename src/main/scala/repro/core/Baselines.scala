@@ -34,7 +34,7 @@ object Baselines {
     require(!g.weighted, "the distance sampler weighs sources by hop distance, so it needs an unweighted graph")
     val kernel = new LocalBrandes.Kernel(g)
     kernel.shortestPaths(r)
-    val w = Array.tabulate(g.n)(v => math.max(kernel.distTo(v), 0).toDouble) // unreachable (−1): weight 0
+    val w = Array.tabulate(g.n) { v => val d = kernel.distance(v); if (d.isInfinite) 0.0 else d } // unreached: 0
     val total = w.sum
     require(total > 0, s"distance sampler undefined: no vertex other than r=$r is reachable from it")
     val cum = w.scanLeft(0.0)(_ + _).tail // cum(i) = Σ_{v<=i} w(v)
@@ -84,19 +84,19 @@ object Baselines {
       var t = rnd.nextInt(g.n - 1)
       if (t >= s) t += 1
       kernel.shortestPaths(s)
-      var cur = if (kernel.distTo(t) < 0) s else t // no s-t path: a miss
+      var cur = if (kernel.distance(t).isInfinite) s else t // no s-t path: a miss
       var onPath = false
       while (cur != s) {
         if (cur != t && cur == r) onPath = true
         // sample one predecessor ∝ its σ
-        val predDist = kernel.distTo(cur) - 1
+        val predDist = kernel.distance(cur) - 1
         var total = 0.0
-        g.foreachNeighbor(cur) { p => if (kernel.distTo(p) == predDist) total += kernel.sigmaTo(p) }
+        g.foreachNeighbor(cur) { p => if (kernel.distance(p) == predDist) total += kernel.sigmaTo(p) }
         val u = rnd.nextDouble() * total
         var acc = 0.0
         var chosen = -1
         g.foreachNeighbor(cur) { p =>
-          if (chosen < 0 && kernel.distTo(p) == predDist) {
+          if (chosen < 0 && kernel.distance(p) == predDist) {
             acc += kernel.sigmaTo(p)
             if (acc > u) chosen = p
           }

@@ -29,18 +29,12 @@ final class Lcg(seed: Long) {
     */
   private[core] def skip(steps: Long): Unit = state = Lcg.jump(state, steps)
 
-  /** Uniform in [0, bound). */
+  /** Uniform in [0, bound): the first 31-bit output below [[Lcg.limit]], mapped by [[Lcg.draw]]. */
   def nextInt(bound: Int): Int = {
-    if (bound <= 0) throw new IllegalArgumentException("bound must be positive")
-    var r = next(31)
-    val m = bound - 1
-    if ((bound & m) == 0) ((bound.toLong * r) >> 31).toInt
-    else {
-      var u = r
-      r = u % bound
-      while (u - r + m < 0) { u = next(31); r = u % bound }
-      r
-    }
+    val limit = Lcg.limit(bound)
+    var u = next(31)
+    while (u >= limit) u = next(31)
+    Lcg.draw(u, bound)
   }
 
   /** Uniform in [0, 1), on the grid of multiples of 2^-53. */
@@ -55,12 +49,7 @@ final class Lcg(seed: Long) {
     * next round makes up the rejected ones.
     */
   private[core] def fillInts(out: Array[Int], bound: Int, chunks: Int): Unit = {
-    if (bound <= 0) throw new IllegalArgumentException("bound must be positive")
-    // nextInt takes every output u for a power-of-two bound, and otherwise the
-    // u with u − u % bound + bound − 1 < 2^31: those below the largest
-    // multiple of bound that is at most 2^31
-    val pow2 = (bound & (bound - 1)) == 0
-    val limit = if (pow2) 1L << 31 else (1L << 31) / bound * bound
+    val limit = Lcg.limit(bound)
     var done = 0
     while (done < out.length) {
       val need = out.length - done
@@ -69,7 +58,7 @@ final class Lcg(seed: Long) {
       def from(c: Int): Long = Lcg.jump(base, Chunks.start(need, k, c))
       def length(c: Int): Int = Chunks.start(need, k, c + 1) - Chunks.start(need, k, c)
       val offset = new Array[Int](k + 1)
-      Chunks.run(k)(c => offset(c + 1) = if (pow2) length(c) else Lcg.accepted(from(c), length(c), limit))
+      Chunks.run(k)(c => offset(c + 1) = Lcg.accepted(from(c), length(c), limit))
       var c = 0
       while (c < k) { offset(c + 1) += offset(c); c += 1 }
       Chunks.run(k)(c => Lcg.draws(from(c), length(c), bound, limit, out, done + offset(c)))
@@ -103,6 +92,18 @@ object Lcg {
     (mul * s + add) & Mask
   }
 
+  /** `nextInt(bound)`'s rejection rule: it takes the 31-bit outputs below the largest multiple of
+    * bound that is at most 2^31, as `java.util.Random`'s test u − u % bound + bound − 1 < 0 does. */
+  private def limit(bound: Int): Long = {
+    if (bound <= 0) throw new IllegalArgumentException(s"bound $bound must be positive")
+    (1L << 31) / bound * bound
+  }
+
+  /** `nextInt(bound)`'s draw from an accepted 31-bit output u: its high bits
+    * for a power-of-two bound, else u % bound. */
+  private def draw(u: Int, bound: Int): Int =
+    if ((bound & (bound - 1)) == 0) ((bound.toLong * u) >> 31).toInt else u % bound
+
   /** How many of the `len` 31-bit outputs after state s are below `limit`. */
   private def accepted(s: Long, len: Int, limit: Long): Int = {
     var st = s; var n = 0; var i = 0
@@ -116,15 +117,11 @@ object Lcg {
 
   /** Writes the draws of the `len` outputs after state s to `out` from `at`. */
   private def draws(s: Long, len: Int, bound: Int, limit: Long, out: Array[Int], at: Int): Unit = {
-    val pow2 = limit == (1L << 31)
     var st = s; var j = at; var i = 0
     while (i < len) {
       st = step(st)
       val u = (st >>> 17).toInt
-      if (u < limit) {
-        out(j) = if (pow2) ((bound.toLong * u) >> 31).toInt else u % bound
-        j += 1
-      }
+      if (u < limit) { out(j) = draw(u, bound); j += 1 }
       i += 1
     }
   }

@@ -4,38 +4,33 @@ import java.util.BitSet
 import org.apache.spark.sql.SparkSession
 import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 
-/** One realized run of the joint-space sampler (§4.3). States are pairs
-  * ⟨r, v⟩ with r ∈ R, v ∈ V(G); `statesR(t)` stores the *index into R*.
+/** One realized run of the joint-space sampler (§4.3). A state or proposal
+  * ⟨R(k), v⟩ with k the *index into R* is the flat index s = v·|R| + k, so
+  * k = s % |R|, v = s / |R|, and s is its δ's position in `delta`.
   *
-  * @param delta the δ table restricted to R, row-major n × |R|:
-  *              delta(v * R.length + k) = δ_{v•}(R(k)) for every vertex v that
-  *              appeared as a state or proposal, NaN ("not evaluated") elsewhere
+  * @param states    chain state at every iteration t = 0..T (length T+1), flat
+  * @param proposals pair proposed at iteration t = 1..T (length T), flat
+  * @param delta     the δ table restricted to R, row-major n × |R|:
+  *                  delta(v * R.length + k) = δ_{v•}(R(k)) for every vertex v that
+  *                  appeared in a state or proposal, NaN ("not evaluated") elsewhere
   */
 final case class JointChain(
     R: Array[Int],
     n: Int,
     seed: Long,
-    statesR: Array[Int],
-    statesV: Array[Int],
-    propsR: Array[Int],
-    propsV: Array[Int],
+    states: Array[Int],
+    proposals: Array[Int],
     delta: Array[Double]) {
 
-  def T: Int = propsV.length
+  def T: Int = proposals.length
 
-  /** Whether step t's proposal was accepted, read as [[Chain.accepted]] on both coordinates. */
-  def accepted(t: Int): Boolean = statesR(t + 1) == propsR(t) && statesV(t + 1) == propsV(t)
+  /** Whether step t's proposal was accepted, as [[Chain.accepted]]. */
+  def accepted(t: Int): Boolean = states(t + 1) == proposals(t)
 
-  def acceptanceRate: Double = MHSingle.acceptanceRate(T, accepted)
+  def acceptanceRate: Double = MHSingle.acceptanceRate(states, proposals)
 
   /** Iterations whose r-component is R(k) — the multiset S(k) of the paper. */
-  def sampleIndices(k: Int): Array[Int] = {
-    val idx = new Array[Int](statesR.count(_ == k))
-    var m = 0
-    var t = 0
-    while (t <= T) { if (statesR(t) == k) { idx(m) = t; m += 1 }; t += 1 }
-    idx
-  }
+  def sampleIndices(k: Int): Array[Int] = Array.range(0, T + 1).filter(t => states(t) % R.length == k)
 
   /** Numerator of Eq. 22 for the ordered pair (i over j):
     * (1/|S(j)|) Σ_{s ∈ S(j)} min{1, δ_{s.v•}(r_i)/δ_{s.v•}(r_j)} — the
@@ -44,13 +39,15 @@ final case class JointChain(
     */
   def relativeEstimate(i: Int, j: Int): Double = {
     val width = R.length
+    require(i >= 0 && i < width, s"index i=$i is not an index into R, |R| = $width")
+    require(j >= 0 && j < width, s"index j=$j is not an index into R, |R| = $width")
     var sum = 0.0
     var size = 0
     var t = 0
     while (t <= T) {
-      if (statesR(t) == j) {
-        val row = statesV(t) * width
-        val di = delta(row + i); val dj = delta(row + j)
+      val s = states(t)
+      if (s % width == j) { // the row of s holds δ(r_i) at s − j + i and δ(r_j) at s
+        val di = delta(s - j + i); val dj = delta(s)
         if (di.isNaN || dj.isNaN) return Double.NaN
         sum += Estimators.cappedRatio(di, dj)
         size += 1
@@ -95,6 +92,8 @@ object MHJoint {
   /** Accept/reject walk over a δ table (n × |R|, see [[JointChain.delta]]):
     * [[MHSingle.walk]]'s loop over the flat states v·|R| + k, so the same
     * zero-δ conventions and failures hold, naming the source v.
+    * @throws IllegalArgumentException if r0 or a `propsR(t)` is outside [0, |R|) or v0 or a `propsV(t)`
+    *   outside [0, n), naming the step and the value, or if `propsR` and `propsV` differ in length
     */
   def walk(R: Array[Int], n: Int, seed: Long, r0: Int, v0: Int,
            propsR: Array[Int], propsV: Array[Int],
@@ -103,15 +102,19 @@ object MHJoint {
     require(delta.length == n * width,
       s"delta table has length ${delta.length}, expected n * |R| = $n * $width")
     val T = propsV.length
-    val props = new Array[Int](T)
+    require(propsR.length == T, s"propsR has ${propsR.length} steps and propsV has $T; they must be equal")
+    def flat(t: Int, r: Int, v: Int): Int = { // t = −1: the initial state
+      def step = if (t < 0) "the initial state" else s"step $t"
+      require(r >= 0 && r < width, s"r-index $r at $step is outside [0, |R| = $width)")
+      require(v >= 0 && v < n, s"vertex $v at $step is outside [0, n = $n)")
+      v * width + r
+    }
+    val s0 = flat(-1, r0, v0)
+    val proposals = new Array[Int](T)
     var t = 0
-    while (t < T) { props(t) = propsV(t) * width + propsR(t); t += 1 }
-    val states = MHSingle.independenceWalk(seed, v0 * width + r0, props, delta, width, Chunks.default)
-    val statesR = new Array[Int](T + 1)
-    val statesV = new Array[Int](T + 1)
-    t = 0
-    while (t <= T) { statesR(t) = states(t) % width; statesV(t) = states(t) / width; t += 1 }
-    JointChain(R, n, seed, statesR, statesV, propsR, propsV, delta)
+    while (t < T) { proposals(t) = flat(t, propsR(t), propsV(t)); t += 1 }
+    val states = MHSingle.independenceWalk(seed, s0, proposals, delta, width, Chunks.default)
+    JointChain(R, n, seed, states, proposals, delta)
   }
 
   /** Run fully locally. */

@@ -28,7 +28,7 @@ final case class Chain(
     * (δ = 0, or finite δ/δ = 1.0), which the uniform u < 1 always accepts. */
   def accepted(t: Int): Boolean = states(t + 1) == proposals(t)
 
-  def acceptanceRate: Double = MHSingle.acceptanceRate(T, accepted)
+  def acceptanceRate: Double = MHSingle.acceptanceRate(states, proposals)
 
   /** Paper's estimator, Eq. 7, reading M as the multiset of chain states
     * (consistent with Theorem 1's n = T+1 samples):
@@ -255,10 +255,12 @@ object MHSingle {
     max
   }
 
-  private[core] def acceptanceRate(T: Int, accepted: Int => Boolean): Double = {
+  /** Both chains' share of accepted steps, each read as `accepted(t)`: X_{t+1} = proposal t. */
+  private[core] def acceptanceRate(states: Array[Int], proposals: Array[Int]): Double = {
+    val T = proposals.length
     var count = 0
     var t = 0
-    while (t < T) { if (accepted(t)) count += 1; t += 1 }
+    while (t < T) { if (states(t + 1) == proposals(t)) count += 1; t += 1 }
     if (T == 0) 0.0 else count.toDouble / T
   }
 

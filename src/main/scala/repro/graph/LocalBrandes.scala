@@ -133,11 +133,8 @@ object LocalBrandes {
     private var arcs = 0
     private var listed = -1 // the length of `unvisited`, −1 until a pass's first bottom-up level fills it
 
-    /** The forward step alone from s; [[distTo]], [[distance]] and [[sigmaTo]] then read its SPD. */
+    /** The forward step alone from s; [[distance]] and [[sigmaTo]] then read its SPD. */
     def shortestPaths(s: Int): Unit = pass(s, Array.emptyIntArray, whole = false)
-
-    /** d(s, v) in hops from the last pass's source s, −1 if v was not reached (0 on a weighted graph). */
-    def distTo(v: Int): Int = dist(v)
 
     /** d(s, v) from the last pass's source s — the path weight on a weighted
       * graph, the hop count otherwise — and +∞ if v was not reached.

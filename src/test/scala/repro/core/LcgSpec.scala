@@ -56,6 +56,15 @@ class LcgSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](new Lcg(1L).nextInt(-3))
   }
 
+  test("nextInt and fillInts name a non-positive bound") {
+    for (bound <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException](new Lcg(1L).nextInt(bound))
+      assert(e.getMessage.contains(s"bound $bound must be positive"), e.getMessage)
+      val f = intercept[IllegalArgumentException](new Lcg(1L).fillInts(new Array[Int](3), bound, 2))
+      assert(f.getMessage.contains(s"bound $bound must be positive"), f.getMessage)
+    }
+  }
+
   test("fillInts gives the sequential nextInt draws and generator state at every chunk count") {
     // 2^30 + 1 rejects about half of all outputs, Int.MaxValue one in 2^31;
     // 1 and 2 are powers of two, which reject nothing

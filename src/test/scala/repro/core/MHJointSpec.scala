@@ -10,6 +10,10 @@ class MHJointSpec extends SparkSpec {
   private val karate = CSRGraph.fromEdges(GraphGen.karateClub)
   private val karateBc = LocalBrandes.bc(karate)
 
+  // the coordinates of a flat state or proposal s = v·|R| + k
+  private def rIndex(chain: JointChain, s: Int): Int = s % chain.R.length
+  private def vertex(chain: JointChain, s: Int): Int = s / chain.R.length
+
   test("drawProposals deterministic, in range on both coordinates") {
     val (r0, v0, pr, pv) = MHJoint.drawProposals(4, 34, 300, 7L)
     val (r0b, v0b, prb, pvb) = MHJoint.drawProposals(4, 34, 300, 7L)
@@ -22,12 +26,13 @@ class MHJointSpec extends SparkSpec {
     val R = Array(0, 33, 2)
     val chain = MHJoint.run(karate, R, 300, 3L)
     for (t <- 1 to 300) {
+      val (cur, prev, prop) = (chain.states(t), chain.states(t - 1), chain.proposals(t - 1))
       if (chain.accepted(t - 1)) {
-        assert(chain.statesR(t) == chain.propsR(t - 1))
-        assert(chain.statesV(t) == chain.propsV(t - 1))
+        assert(rIndex(chain, cur) == rIndex(chain, prop))
+        assert(vertex(chain, cur) == vertex(chain, prop))
       } else {
-        assert(chain.statesR(t) == chain.statesR(t - 1))
-        assert(chain.statesV(t) == chain.statesV(t - 1))
+        assert(rIndex(chain, cur) == rIndex(chain, prev))
+        assert(vertex(chain, cur) == vertex(chain, prev))
       }
     }
   }
@@ -36,15 +41,15 @@ class MHJointSpec extends SparkSpec {
     val R = Array(0, 33)
     val loc = MHJoint.run(karate, R, 400, 11L)
     val spk = MHJoint.runSpark(spark, karate, R, 400, 11L)
-    assert(loc.statesR.sameElements(spk.statesR))
-    assert(loc.statesV.sameElements(spk.statesV))
+    assert(loc.states.map(rIndex(loc, _)).sameElements(spk.states.map(rIndex(spk, _))))
+    assert(loc.states.map(vertex(loc, _)).sameElements(spk.states.map(vertex(spk, _))))
     assert(java.util.Arrays.equals(loc.delta, spk.delta))
   }
 
   test("delta table is exact: delta(v)(k) = local dependencyOn(v, R(k))") {
     val R = Array(0, 33, 5)
     val chain = MHJoint.run(karate, R, 200, 13L)
-    val touched = (chain.statesV ++ chain.propsV).toSet
+    val touched = (chain.states ++ chain.proposals).map(vertex(chain, _)).toSet
     assert(chain.delta.length == karate.n * R.length)
     for (v <- 0 until karate.n; (r, k) <- R.zipWithIndex) {
       val d = chain.delta(v * R.length + k)
@@ -95,7 +100,7 @@ class MHJointSpec extends SparkSpec {
     val R = Array(0, 33)
     val chain = MHJoint.run(karate, R, 40000, 31L)
     val idx = chain.sampleIndices(0)
-    val states = idx.map(chain.statesV).toArray
+    val states = idx.map(t => vertex(chain, chain.states(t))).toArray
     val tv = Estimators.tvDistance(
       Estimators.empiricalDist(states, karate.n), Estimators.exactPi(LocalBrandes.dependencyColumn(karate, 0)))
     assert(tv < 0.15, s"TV=$tv")
@@ -160,10 +165,11 @@ class MHJointSpec extends SparkSpec {
     val R = Array(0, 33)
     val chain = MHJoint.run(karate, R, 300, 47L)
     val table = chain.delta.clone()
-    table(chain.statesV(0) * R.length + chain.statesR(0)) = Double.NaN
+    val (r0, v0) = (rIndex(chain, chain.states(0)), vertex(chain, chain.states(0)))
+    table(v0 * R.length + r0) = Double.NaN
     val broken = chain.copy(delta = table)
-    assert(broken.relativeEstimate(0, chain.statesR(0)).isNaN)
-    assert(!chain.relativeEstimate(0, chain.statesR(0)).isNaN)
+    assert(broken.relativeEstimate(0, r0).isNaN)
+    assert(!chain.relativeEstimate(0, r0).isNaN)
   }
 
   test("walk fails on a proposal whose delta was not evaluated, naming the vertex") {
@@ -197,7 +203,8 @@ class MHJointSpec extends SparkSpec {
     for (v <- undrawn; k <- R.indices) holed(v * R.length + k) = Double.NaN
     val a = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, holed)
     val b = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, table)
-    assert(a.statesR.sameElements(b.statesR) && a.statesV.sameElements(b.statesV))
+    assert(a.states.map(rIndex(a, _)).sameElements(b.states.map(rIndex(b, _))) &&
+      a.states.map(vertex(a, _)).sameElements(b.states.map(vertex(b, _))))
   }
 
   test("on karate ⊎ path(10) an R spanning both components has disjoint supports: Eq. 22 sums only the transient") {
@@ -205,14 +212,15 @@ class MHJointSpec extends SparkSpec {
     val R = Array(0, karate.n + 4)
     val startsOutside = (1 to 8).count { seed =>
       val chain = MHJoint.run(g, R, 5000, seed.toLong)
-      def d(t: Int, k: Int): Double = chain.delta(chain.statesV(t) * R.length + k)
+      def d(t: Int, k: Int): Double = chain.delta(vertex(chain, chain.states(t)) * R.length + k)
+      def r(t: Int): Int = rIndex(chain, chain.states(t))
       // the chain enters the support at its first state with δ > 0 and stays,
       // and there every sample carries δ = 0 for the other member of R
-      val in = (0 to chain.T).indexWhere(t => d(t, chain.statesR(t)) > 0.0)
-      assert(in >= 0 && (in to chain.T).forall(t => d(t, 1 - chain.statesR(t)) == 0.0), s"seed $seed")
+      val in = (0 to chain.T).indexWhere(t => d(t, r(t)) > 0.0)
+      assert(in >= 0 && (in to chain.T).forall(t => d(t, 1 - r(t)) == 0.0), s"seed $seed")
       if (in == 0) assert(chain.ratioEstimate(0, 1).isNaN && chain.ratioEstimate(1, 0).isNaN, s"seed $seed")
       for ((i, j) <- Seq((0, 1), (1, 0))) {
-        val transient = (0 until in).count(t => chain.statesR(t) == j && d(t, i) > 0.0)
+        val transient = (0 until in).count(t => r(t) == j && d(t, i) > 0.0)
         assert(chain.relativeEstimate(i, j) == transient.toDouble / chain.sampleIndices(j).length, s"seed $seed")
       }
       in > 0
@@ -224,9 +232,40 @@ class MHJointSpec extends SparkSpec {
     val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L))
     val R = Array(3, 17, 150)
     for (chain <- Seq(MHJoint.run(ba, R, 3000, 53L), MHJoint.runSpark(spark, ba, R, 3000, 53L))) {
-      val replay = MHJoint.walk(chain.R, chain.n, chain.seed, chain.statesR(0), chain.statesV(0),
-        chain.propsR, chain.propsV, chain.delta)
-      assert(replay.statesR.sameElements(chain.statesR) && replay.statesV.sameElements(chain.statesV))
+      val replay = MHJoint.walk(chain.R, chain.n, chain.seed,
+        rIndex(chain, chain.states(0)), vertex(chain, chain.states(0)),
+        chain.proposals.map(rIndex(chain, _)), chain.proposals.map(vertex(chain, _)), chain.delta)
+      assert(replay.states.map(rIndex(replay, _)).sameElements(chain.states.map(rIndex(chain, _))) &&
+        replay.states.map(vertex(replay, _)).sameElements(chain.states.map(vertex(chain, _))))
     }
+  }
+
+  test("walk rejects an initial state or proposal outside R × V(G), and mismatched proposal lengths, naming the step") {
+    val R = Array(0, 33)
+    val table = LocalBrandes.dependencyTable(karate, LocalBrandes.allSources(karate.n), R)
+    def walk(r0: Int, v0: Int, propsR: Array[Int], propsV: Array[Int]): JointChain =
+      MHJoint.walk(R, karate.n, 1L, r0, v0, propsR, propsV, table)
+    // an r-index of 2 with |R| = 2 would read the next vertex's row
+    rejected(walk(0, 1, Array(2), Array(3)), "r-index 2 at step 0 is outside [0, |R| = 2)")
+    rejected(walk(0, 1, Array(0, 1, -1), Array(3, 4, 5)), "r-index -1 at step 2 is outside [0, |R| = 2)")
+    rejected(walk(2, 1, Array(0), Array(3)), "r-index 2 at the initial state is outside [0, |R| = 2)")
+    rejected(walk(0, 34, Array(0), Array(3)), "vertex 34 at the initial state is outside [0, n = 34)")
+    rejected(walk(0, 1, Array(1, 0), Array(3, 34)), "vertex 34 at step 1 is outside [0, n = 34)")
+    rejected(walk(0, 1, Array(1), Array(-1)), "vertex -1 at step 0 is outside [0, n = 34)")
+    rejected(walk(0, 1, Array(1, 0), Array(3)), "propsR has 2 steps and propsV has 1; they must be equal")
+    rejected(walk(0, 1, Array(1), Array(3, 4)), "propsR has 1 steps and propsV has 2; they must be equal")
+    // in range, the same walk moves through the flat state of the proposed pair
+    val chain = walk(0, 1, Array(1), Array(3))
+    assert(chain.proposals.sameElements(Array(3 * R.length + 1)) && chain.states(0) == 1 * R.length)
+  }
+
+  test("relativeEstimate and ratioEstimate reject an index outside R, naming it and |R|") {
+    val R = Array(0, 33)
+    val chain = MHJoint.run(karate, R, 300, 47L)
+    rejected(chain.relativeEstimate(2, 0), "index i=2 is not an index into R, |R| = 2")
+    rejected(chain.relativeEstimate(0, 5), "index j=5 is not an index into R, |R| = 2")
+    rejected(chain.relativeEstimate(-1, 0), "index i=-1 is not an index into R, |R| = 2")
+    rejected(chain.ratioEstimate(0, 2), "index j=2 is not an index into R, |R| = 2")
+    assert(!chain.ratioEstimate(0, 1).isNaN)
   }
 }

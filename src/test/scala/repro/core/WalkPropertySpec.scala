@@ -42,9 +42,7 @@ class WalkPropertySpec extends AnyFunSuite {
       val walks = Seq(1, 2, 3, 8, T + 5).map(k => k -> MHSingle.independenceWalk(c.seed, c.s0, c.proposals, c.weight, c.width, k))
       val walked = walks.head._2
       val chain = Chain(0, c.weight.length, c.seed, walked, c.proposals, c.weight)
-      val joint = JointChain(Array.range(0, c.width), c.weight.length / c.width, c.seed,
-        walked.map(_ % c.width), walked.map(_ / c.width), c.proposals.map(_ % c.width), c.proposals.map(_ / c.width),
-        c.weight)
+      val joint = JointChain(Array.range(0, c.width), c.weight.length / c.width, c.seed, walked, c.proposals, c.weight)
       val rate = if (T == 0) 0.0 else flags.count(identity).toDouble / T
       val mismatch = walks.collectFirst { case (k, s) if !s.sameElements(states) => s"states at $k chunks" }
         .orElse((0 until T).find(t => chain.accepted(t) != flags(t)).map(t => s"Chain.accepted($t)"))
