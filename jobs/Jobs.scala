@@ -1,7 +1,8 @@
 package repro.jobs
 
+import java.util.BitSet
 import org.apache.spark.sql.SparkSession
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, SparkBrandes}
 import repro.graphgen.{EdgeList, GraphGen}
 
 /** Shared helpers for the spark-submit entrypoints. */
@@ -61,4 +62,16 @@ object Jobs {
     catch { case _: NumberFormatException => throw new IllegalArgumentException(s"bad $name '$value'; $usage") }
 
   def csr(spec: String): CSRGraph = CSRGraph.fromEdges(graph(spec))
+
+  /** The samplers' `runSpark` table builder ([[SparkBrandes.sessionTable]]),
+    * which also passes `report` where the table was built and its wall time,
+    * as "driver pool, 4 workers, 0.012 s", for a job's result line.
+    */
+  def reportingTable(spark: SparkSession, g: CSRGraph, targets: Array[Int])
+                    (report: String => Unit): BitSet => Array[Double] = { sources =>
+    val start = System.nanoTime
+    val (table, where) = SparkBrandes.sessionTable(spark, g, sources, targets)
+    report(f"$where, ${(System.nanoTime - start) / 1e9}%.3f s")
+    table
+  }
 }

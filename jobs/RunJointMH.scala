@@ -4,7 +4,8 @@ import repro.core.MHJoint
 import repro.graph.SparkBrandes
 
 /** spark-submit entrypoint: estimate all pairwise BC ratios of a probe set R
-  * with the joint-space MH sampler (§4.3).
+  * with the joint-space MH sampler (§4.3), the δ table built as `runSpark`
+  * builds it; the result line names the builder and its wall time.
   *
   * Usage: RunJointMH <graph-spec> <r1,r2,...> <T> [seed]
   * e.g.   RunJointMH ba:2000:4:7 0,1,2,3 20000 42
@@ -19,10 +20,12 @@ object RunJointMH {
     val spark = Jobs.session("RunJointMH")
     try {
       val g = Jobs.csr(args(0))
-      val chain = MHJoint.runSpark(spark, g, R, T, seed)
+      var table = ""
+      // runSpark's chain, with its table build reported
+      val chain = MHJoint.sample(g.n, R, T, seed)(Jobs.reportingTable(spark, g, R)(table = _))
       val bc = SparkBrandes.bc(spark, g)
       println(s"graph=${args(0)} n=${g.n} m=${g.m} R=${R.mkString(",")} T=$T seed=$seed")
-      println(f"acceptanceRate=${chain.acceptanceRate}%.4f")
+      println(f"acceptanceRate=${chain.acceptanceRate}%.4f table=$table")
       for (i <- R.indices; j <- R.indices if i != j) {
         val est = chain.ratioEstimate(i, j)
         val tru = bc(R(i)) / bc(R(j))

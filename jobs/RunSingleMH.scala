@@ -4,7 +4,8 @@ import repro.core.MHSingle
 import repro.graph.SparkBrandes
 
 /** spark-submit entrypoint: estimate BC(r) with the single-space MH sampler
-  * (§4.2), dependency evaluations distributed over Spark.
+  * (§4.2), the δ column built on the session's cores as `runSpark` builds it;
+  * the result line names the builder and its wall time.
   *
   * Usage: RunSingleMH <graph-spec> <r> <T> [seed]
   * e.g.   RunSingleMH ba:2000:4:7 0 5000 42
@@ -19,10 +20,12 @@ object RunSingleMH {
     val spark = Jobs.session("RunSingleMH")
     try {
       val g = Jobs.csr(args(0))
-      val chain = MHSingle.runSpark(spark, g, r, T, seed)
+      var table = ""
+      // runSpark's chain, with its table build reported
+      val chain = MHSingle.sample(g.n, r, T, seed)(Jobs.reportingTable(spark, g, Array(r))(table = _))
       val exact = SparkBrandes.bc(spark, g)(r)
       println(s"graph=${args(0)} n=${g.n} m=${g.m} r=$r T=$T seed=$seed")
-      println(f"acceptanceRate=${chain.acceptanceRate}%.4f")
+      println(f"acceptanceRate=${chain.acceptanceRate}%.4f table=$table")
       println(f"exact BC(r)          = $exact%.4f")
       println(f"estimate (harmonic)  = ${chain.estimateHarmonic}%.4f")
       println(f"estimate (eq7)       = ${chain.estimateEq7}%.6f")

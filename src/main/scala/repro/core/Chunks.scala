@@ -2,12 +2,13 @@ package repro.core
 
 import java.util.concurrent.ForkJoinPool
 
-/** The samplers' one thread source: O(T) driver loops split their index range
+/** The driver's one thread source: O(T) driver loops split their index range
   * into contiguous chunks and run them on the JVM's common ForkJoin pool, the
-  * calling thread working chunk 0. Every such loop gives the same bits at any
-  * chunk count, so one chunk is the plain sequential loop.
+  * calling thread working chunk 0, and a local δ-table build runs one worker
+  * per chunk. Every such loop gives the same bits at any chunk count, so one
+  * chunk is the plain sequential loop.
   */
-private[core] object Chunks {
+private[repro] object Chunks {
 
   /** The chunk count the public paths use: one per pool worker plus the caller. */
   def default: Int = ForkJoinPool.getCommonPoolParallelism + 1

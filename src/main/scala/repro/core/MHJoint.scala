@@ -68,8 +68,8 @@ final case class JointChain(
   *
   * As with [[MHSingle]], proposals are iid, so each distinct proposed source
   * v needs one Brandes pass — which yields δ_{v•}(x) for *every* x at once,
-  * so the whole R-restricted dependency table for a chain is one Spark job
-  * ([[SparkBrandes.dependencyTable]]).
+  * so the whole R-restricted dependency table for a chain is one batch,
+  * built by the same builders as [[MHSingle]]'s column.
   *
   * Disconnected graphs behave as in [[MHSingle]]. Members of R in different
   * components have disjoint supports, so Eq. 22 sums only the samples before
@@ -121,10 +121,12 @@ object MHJoint {
   def run(g: CSRGraph, R: Array[Int], T: Int, seed: Long): JointChain =
     sample(g.n, R, T, seed)(LocalBrandes.dependencyTable(g, _, R))
 
-  /** Run with all dependency evaluations as one distributed job. */
+  /** Run on a Spark session's cores, the δ table built where
+    * [[SparkBrandes.sessionTable]] chooses, as in [[MHSingle.runSpark]].
+    */
   def runSpark(spark: SparkSession, g: CSRGraph, R: Array[Int], T: Int,
                seed: Long): JointChain =
-    sample(g.n, R, T, seed)(SparkBrandes.dependencyTable(spark, g, _, R))
+    sample(g.n, R, T, seed)(SparkBrandes.sessionTable(spark, g, _, R)._1)
 
   /** The one seed → chain path: draw, mark the distinct sources, build their
     * δ table with `table` (n × |R| as in [[JointChain.delta]], every marked

@@ -109,12 +109,13 @@ final case class Chain(
   *
   * Because the proposal distribution does not depend on the current state,
   * the whole proposal stream is drawn up front and every needed dependency
-  * score δ_{v•}(r) is evaluated as **one Spark job** over the distinct
-  * proposed vertices ([[SparkBrandes.dependencyTable]]), into a dense δ
-  * column; the O(T) accept/reject walk then runs on the driver. The local
-  * path differs only in building the column with
-  * [[LocalBrandes.dependencyTable]], so both are bit-for-bit identical for the
-  * same seed.
+  * score δ_{v•}(r) is evaluated as **one batch** of Brandes passes over the
+  * distinct proposed vertices, into a dense δ column; the O(T) accept/reject
+  * walk then runs on the driver. [[run]] builds the column on the driver's
+  * pool ([[LocalBrandes.dependencyTable]]); [[runSpark]] does too on a local
+  * master, and otherwise runs one Spark job
+  * ([[SparkBrandes.dependencyTable]]). Rows depend only on their source, so
+  * every builder gives the same chain, bit for bit, for the same seed.
   *
   * The driver's O(T) work — the draw, the walk and the harmonic estimator's
   * support count — runs in chunks on the JVM's common ForkJoin pool with the
@@ -146,8 +147,9 @@ object MHSingle {
     *
     * @throws NoSuchElementException if the column has no δ for v0 or for a
     *   proposal; it names v0, or else the first such proposal in chain order
-    * @throws IllegalArgumentException if an entry of the column is negative
-    *   or +∞; it names the source
+    * @throws IllegalArgumentException if v0 or a proposal is outside
+    *   [0, n), naming the first such step and the value, or if an entry of
+    *   the column is negative or +∞, naming the source
     */
   def walk(r: Int, n: Int, seed: Long, v0: Int, proposals: Array[Int],
            delta: Array[Double]): Chain = {
@@ -156,9 +158,9 @@ object MHSingle {
   }
 
   /** The one Independence-MH accept/reject loop of both samplers, over flat
-    * states s indexing `weight`, which holds `width` entries per source vertex
-    * s / width. Conventions and failures as in [[walk]], checked up front;
-    * returns the T + 1 states, the same bits at every chunk count.
+    * states s = v·width + k indexing `weight`, which holds `width` entries per
+    * source vertex v. Conventions and failures as in [[walk]], naming the
+    * vertex v; returns the T + 1 states, the same bits at every chunk count.
     *
     * The walk runs in `chunks` chunks of steps at once, because copies of an
     * independence chain started from different states merge at the first
@@ -176,29 +178,50 @@ object MHSingle {
     * the chunk length or more) is walked whole in that pass: the same bits,
     * only not faster. The u_t come from one stream, each chunk's jumped
     * ahead to its first step.
+    *
+    * The inputs are checked in three steps. Before the walk: s0, and the
+    * whole table for a negative or +∞ weight. In the chunks: a proposal
+    * outside the table, by the JVM's own index check on `weight(p)`, which
+    * every step already pays (a separate pass over T = 1e7 proposals cost
+    * 10–20% of the walk); the chunk records it and stops. After them: a
+    * NaN (unevaluated) weight at s0 or a proposal, which only misdirects
+    * the chunks, since every comparison with NaN is false.
     */
   private[core] def independenceWalk(seed: Long, s0: Int, proposals: Array[Int], weight: Array[Double],
                                      width: Int, chunks: Int): Array[Int] = {
-    val dmax = couplingBound(s0, proposals, weight, width)
+    val n = weight.length / width
+    require(s0 >= 0 && s0 < weight.length,
+      s"vertex ${Math.floorDiv(s0, width)} at the initial state is outside [0, n = $n)")
+    val dmax = couplingBound(weight, width)
     val T = proposals.length
     val states = new Array[Int](T + 1)
     states(0) = s0
     val k = Chunks.count(T, chunks)
     def lo(c: Int): Int = Chunks.start(T, k, c)
     val tau = new Array[Int](k) // c ≥ 1: chunk c's first step that every state accepts, lo(c + 1) if none
+    val outside = new Array[Boolean](k) // chunk c read a proposal outside the table
     Chunks.run(k) { c =>
       val hi = lo(c + 1)
       val rnd = stream(seed, lo(c))
-      if (c == 0) steps(rnd, lo(c), hi, s0, proposals, weight, states)
-      else {
-        var t = lo(c)
-        while (t < hi && !(rnd.nextDouble() < weight(proposals(t)) / dmax)) t += 1
-        tau(c) = t
-        if (t < hi) {
-          states(t + 1) = proposals(t)
-          steps(rnd, t + 1, hi, proposals(t), proposals, weight, states)
+      try {
+        if (c == 0) steps(rnd, lo(c), hi, s0, proposals, weight, states)
+        else {
+          var t = lo(c)
+          while (t < hi && !(rnd.nextDouble() < weight(proposals(t)) / dmax)) t += 1
+          tau(c) = t
+          if (t < hi) {
+            states(t + 1) = proposals(t)
+            steps(rnd, t + 1, hi, proposals(t), proposals, weight, states)
+          }
         }
-      }
+      } catch { case _: ArrayIndexOutOfBoundsException => outside(c) = true }
+    }
+    val t = if (outside.contains(true)) proposals.indexWhere(p => p < 0 || p >= weight.length) else -1
+    require(t < 0, s"vertex ${Math.floorDiv(proposals(t), width)} at step $t is outside [0, n = $n)")
+    // each drawn state once: marking stops once every state is drawn
+    if (LocalBrandes.markSources(weight.length, s0, proposals).stream.anyMatch(weight(_).isNaN)) {
+      val first = (s0 +: proposals).find(weight(_).isNaN).get
+      throw new NoSuchElementException(s"the dependency of source ${first / width} was not evaluated")
     }
     var c = 1
     while (c < k) {
@@ -234,10 +257,9 @@ object MHSingle {
     rnd
   }
 
-  /** δ_max of the coupling, the largest weight, after the walk's checks: a
-    * negative or +∞ weight fails naming its source, and a NaN (unevaluated) one
-    * at s0 or a proposal names s0, or else the first such proposal in chain order. */
-  private def couplingBound(s0: Int, proposals: Array[Int], weight: Array[Double], width: Int): Double = {
+  /** δ_max of the coupling, the largest weight, after the walk's check of the
+    * whole table: a negative or +∞ weight fails naming its source. */
+  private def couplingBound(weight: Array[Double], width: Int): Double = {
     var max = 0.0
     var min = 0.0
     var i = 0
@@ -246,11 +268,6 @@ object MHSingle {
       val bad = weight.indexWhere(w => w < 0.0 || w == Double.PositiveInfinity)
       throw new IllegalArgumentException(
         s"the dependency of source ${bad / width} is ${weight(bad)}; a dependency is finite and non-negative")
-    }
-    // each drawn state once: marking stops once every state is drawn
-    if (LocalBrandes.markSources(weight.length, s0, proposals).stream.anyMatch(weight(_).isNaN)) {
-      val first = (s0 +: proposals).find(weight(_).isNaN).get
-      throw new NoSuchElementException(s"the dependency of source ${first / width} was not evaluated")
     }
     max
   }
@@ -268,9 +285,13 @@ object MHSingle {
   def run(g: CSRGraph, r: Int, T: Int, seed: Long): Chain =
     sample(g.n, r, T, seed)(LocalBrandes.dependencyTable(g, _, Array(r)))
 
-  /** Run with the dependency evaluations distributed over Spark. */
+  /** Run on a Spark session's cores: the δ column is built where
+    * [[SparkBrandes.sessionTable]] chooses, on the driver's pool on a local
+    * master and as one Spark job otherwise, so the chain is [[run]]'s, bit
+    * for bit.
+    */
   def runSpark(spark: SparkSession, g: CSRGraph, r: Int, T: Int, seed: Long): Chain =
-    sample(g.n, r, T, seed)(SparkBrandes.dependencyTable(spark, g, _, Array(r)))
+    sample(g.n, r, T, seed)(SparkBrandes.sessionTable(spark, g, _, Array(r))._1)
 
   /** The one seed → chain path: draw, mark the distinct sources, build their
     * δ column with `column` (length n, δ_{v•}(r) at every marked v, other

@@ -1,6 +1,8 @@
 package repro.graph
 
 import java.util.BitSet
+import java.util.concurrent.atomic.AtomicInteger
+import repro.core.Chunks
 
 /** Exact Brandes machinery on a local CSR graph.
   *
@@ -169,21 +171,21 @@ object LocalBrandes {
     /** One row of a dependency table, `out(offset + k)` = δ_{s•}(targets(k)),
       * for targets already checked to be vertices (as [[emptyTable]] does).
       *
-      * @throws ArithmeticException if an entry is not finite (σ overflows
-      *   `Double` on graphs with very many shortest paths), which NaN would
-      *   otherwise pass off as "not evaluated"
+      * @return whether every entry is finite. One that is not (σ overflows
+      *   `Double` on graphs with very many shortest paths) must fail the
+      *   table, through [[overflow]]: NaN would pass it off as "not evaluated".
       */
-    private[graph] def row(s: Int, targets: Array[Int], out: Array[Double], offset: Int): Unit = {
+    private[graph] def row(s: Int, targets: Array[Int], out: Array[Double], offset: Int): Boolean = {
       pass(s, targets, whole = false)
+      var finite = true
       var k = 0
       while (k < targets.length) {
         val x = delta(targets(k))
-        if (!java.lang.Double.isFinite(x))
-          throw new ArithmeticException(s"the dependency of source $s on target ${targets(k)} is $x: " +
-            "the shortest-path counts σ overflow Double")
         out(offset + k) = x
+        finite &= java.lang.Double.isFinite(x)
         k += 1
       }
+      finite
     }
 
     /** Clear the workspace, run the graph's forward step from s recording the
@@ -459,18 +461,56 @@ object LocalBrandes {
   /** The samplers' one δ representation: a dense row-major n × |targets|
     * table with `table(v * targets.length + k)` = δ_{v•}(targets(k)) for
     * every source v in `sources`, and NaN ("not evaluated") for every other
-    * v. With a single target it is the column δ_{·•}(r). One [[Kernel]]
-    * evaluates every row.
+    * v. With a single target it is the column δ_{·•}(r).
+    *
+    * The rows are built on the driver's cores: [[repro.core.Chunks.default]]
+    * workers on the JVM's common ForkJoin pool, the calling thread being one.
+    * Each worker reuses one [[Kernel]] and takes the next source, in id
+    * order, from one shared counter, so a slow row holds up only its own
+    * worker: there is no static split of the sources to leave a tail. A row
+    * depends only on its source, so the table has the same bits at any worker
+    * count.
+    *
+    * @throws ArithmeticException if an entry is not finite (σ overflows
+    *   `Double`), naming the least such source and its first such target,
+    *   at any worker count
     */
-  def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): Array[Double] = {
+  def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): Array[Double] =
+    dependencyTable(g, sources, targets, Chunks.default)
+
+  /** [[dependencyTable]] on `workers` workers; one worker is the sequential
+    * loop over the sources in id order. A worker whose row is not finite
+    * records the row's position and stops, and no worker takes a source past
+    * the least such position, so every source before it is evaluated and the
+    * calling thread fails with the error the sequential loop would raise.
+    */
+  private[repro] def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int], workers: Int): Array[Double] = {
     val table = emptyTable(g.n, targets)
-    val kernel = new Kernel(g)
-    var v = sources.nextSetBit(0)
-    while (v >= 0) {
-      kernel.row(v, targets, table, v * targets.length)
-      v = sources.nextSetBit(v + 1)
+    val k = targets.length
+    val ids = sources.stream().toArray
+    val next = new AtomicInteger
+    val failed = new AtomicInteger(ids.length) // least position in `ids` whose row is not finite
+    Chunks.run(Chunks.count(ids.length, workers)) { _ =>
+      val kernel = new Kernel(g)
+      var i = next.getAndIncrement()
+      while (i < failed.get) {
+        if (!kernel.row(ids(i), targets, table, ids(i) * k)) failed.accumulateAndGet(i, (a, b) => math.min(a, b))
+        i = next.getAndIncrement()
+      }
     }
+    val bad = failed.get
+    if (bad < ids.length) throw overflow(ids(bad), targets, table, ids(bad) * k)
     table
+  }
+
+  /** The failure of source s's row at `out(offset)`, which [[Kernel.row]]
+    * found not finite: it names s and the first target whose entry is not
+    * finite.
+    */
+  private[graph] def overflow(s: Int, targets: Array[Int], out: Array[Double], offset: Int): ArithmeticException = {
+    val k = targets.indices.find(k => !java.lang.Double.isFinite(out(offset + k))).get
+    new ArithmeticException(s"the dependency of source $s on target ${targets(k)} is ${out(offset + k)}: " +
+      "the shortest-path counts σ overflow Double")
   }
 
   /** An n × |targets| table with no source evaluated yet (all NaN). */

@@ -4,6 +4,7 @@ import java.util.BitSet
 import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
 import org.apache.spark.sql.SparkSession
+import repro.core.Chunks
 
 /** Source-parallel exact Brandes on Spark (RDD layer).
   *
@@ -51,7 +52,10 @@ object SparkBrandes {
         val rows = new Array[Double](batch.length * k)
         val kernel = new LocalBrandes.Kernel(graph)
         var i = 0
-        while (i < batch.length) { kernel.row(batch(i), targets, rows, i * k); i += 1 }
+        while (i < batch.length) {
+          if (!kernel.row(batch(i), targets, rows, i * k)) throw LocalBrandes.overflow(batch(i), targets, rows, i * k)
+          i += 1
+        }
         (batch, rows)
       }
       batches.foreach { case (batch, rows) =>
@@ -62,17 +66,38 @@ object SparkBrandes {
     table
   }
 
+  /** The δ table of the samplers' `runSpark` over `sources`, built on the
+    * session's cores, and where it was built: "driver pool, W workers" or
+    * "Spark job, P partitions". On a local master the executors are the
+    * driver's own threads, so the table is built on the driver's pool
+    * ([[LocalBrandes.dependencyTable]]), with no broadcast, no task launch
+    * and no static split of the sources; on any other master it is one Spark
+    * job ([[dependencyTable]]). Both give the same bits.
+    */
+  def sessionTable(spark: SparkSession, g: CSRGraph, sources: BitSet,
+                   targets: Array[Int]): (Array[Double], String) = {
+    val count = sources.cardinality
+    if (spark.sparkContext.isLocal)
+      (LocalBrandes.dependencyTable(g, sources, targets), s"driver pool, ${Chunks.count(count, Chunks.default)} workers")
+    else (dependencyTable(spark, g, sources, targets), s"Spark job, ${partitions(spark, count, 0)} partitions")
+  }
+
+  /** The task count of a job over `count` sources: `numPartitions`
+    * (default: the session's parallelism), but no more than there are sources.
+    */
+  private def partitions(spark: SparkSession, count: Int, numPartitions: Int): Int =
+    math.min(if (numPartitions > 0) numPartitions else spark.sparkContext.defaultParallelism, count)
+
   /** The one job shape of both calls above: broadcast `g`, run `task` once
-    * per partition of `sources` (split into `numPartitions` tasks, default:
-    * the session's parallelism), and collect the results in partition order.
-    * The broadcast is destroyed even if the job fails.
+    * per partition of `sources` (split into [[partitions]] tasks), and
+    * collect the results in partition order. The broadcast is destroyed even
+    * if the job fails.
     */
   private def perPartition[T: ClassTag](spark: SparkSession, g: CSRGraph, sources: Array[Int],
                                         numPartitions: Int)(task: (CSRGraph, Iterator[Int]) => T): Array[T] = {
     val sc = spark.sparkContext
-    val parts = math.min(if (numPartitions > 0) numPartitions else sc.defaultParallelism, sources.length)
     val bg = sc.broadcast(g)
-    try sc.parallelize(ArraySeq.unsafeWrapArray(sources), parts)
+    try sc.parallelize(ArraySeq.unsafeWrapArray(sources), partitions(spark, sources.length, numPartitions))
       .mapPartitions(vs => Iterator.single(task(bg.value, vs)))
       .collect()
     finally bg.destroy()

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.graph.{CSRGraph, LocalBrandes}
+import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.GraphGen
 import repro.testutil.TestGraphs
 
@@ -44,6 +44,17 @@ class MHJointSpec extends SparkSpec {
     assert(loc.states.map(rIndex(loc, _)).sameElements(spk.states.map(rIndex(spk, _))))
     assert(loc.states.map(vertex(loc, _)).sameElements(spk.states.map(vertex(spk, _))))
     assert(java.util.Arrays.equals(loc.delta, spk.delta))
+  }
+
+  test("a joint chain over the Spark job's table is run's, bit for bit, at 1, 2 and 7 partitions") {
+    // runSpark builds on the driver on a local session: this keeps the job under the sampler
+    val R = Array(0, 33, 5)
+    val local = MHJoint.run(karate, R, 2000, 61L)
+    for (parts <- Seq(1, 2, 7)) {
+      val viaSpark = MHJoint.sample(karate.n, R, 2000, 61L)(SparkBrandes.dependencyTable(spark, karate, _, R, parts))
+      assert(viaSpark.states.sameElements(local.states) && viaSpark.proposals.sameElements(local.proposals) &&
+        java.util.Arrays.equals(viaSpark.delta, local.delta), s"$parts partitions")
+    }
   }
 
   test("delta table is exact: delta(v)(k) = local dependencyOn(v, R(k))") {

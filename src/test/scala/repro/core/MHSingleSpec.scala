@@ -160,6 +160,34 @@ class MHSingleSpec extends SparkSpec {
     }
   }
 
+  test("a chain over the Spark job's column is run's, bit for bit, at 1, 2 and 7 partitions") {
+    // runSpark builds on the driver on a local session: this keeps the job under the sampler
+    val ba = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L))
+    for ((g, r) <- Seq(karate -> 0, ba -> 17); parts <- Seq(1, 2, 7)) {
+      val local = MHSingle.run(g, r, 2000, 61L)
+      val viaSpark = MHSingle.sample(g.n, r, 2000, 61L)(SparkBrandes.dependencyTable(spark, g, _, Array(r), parts))
+      assert(viaSpark.states.sameElements(local.states) && java.util.Arrays.equals(viaSpark.delta, local.delta),
+        s"n = ${g.n}, $parts partitions")
+    }
+  }
+
+  test("walk rejects an initial state or proposal outside [0, n), naming the step and the value") {
+    val col = LocalBrandes.dependencyColumn(karate, 0)
+    def rejected(v0: Int, props: Array[Int], message: String): Unit = {
+      val e = intercept[IllegalArgumentException](MHSingle.walk(0, karate.n, 1L, v0, props, col))
+      assert(e.getMessage.contains(message), e.getMessage)
+    }
+    rejected(34, Array(2), "vertex 34 at the initial state is outside [0, n = 34)")
+    rejected(-1, Array(2), "vertex -1 at the initial state is outside [0, n = 34)")
+    rejected(1, Array(2, 34, -1), "vertex 34 at step 1 is outside [0, n = 34)")
+    rejected(1, Array(2, 3, -1), "vertex -1 at step 2 is outside [0, n = 34)")
+    // two bad steps in the last of several chunks: the first one is named
+    val props = MHSingle.drawProposals(karate.n, 100000, 3L)._2
+    props(99000) = 34
+    props(99500) = -5
+    rejected(1, props, "vertex 34 at step 99000 is outside [0, n = 34)")
+  }
+
   test("delta tables: non-NaN entries = distinct requested sources") {
     val requested = Seq(3, 1, 3, 30, 0, 1, 17)
     val sources = LocalBrandes.markSources(karate.n, requested)

@@ -1,5 +1,7 @@
 package repro.graph
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graphgen.{EdgeList, GraphGen}
 import repro.testutil.TestGraphs
@@ -164,6 +166,47 @@ class LocalBrandesSpec extends AnyFunSuite {
     }
     assert(e.getMessage.contains("source 0") && e.getMessage.contains(s"target ${g.n / 2}") &&
       e.getMessage.contains("overflow"), e.getMessage)
+  }
+
+  test("several failing rows fail the table naming the least failing source, at 1, 2, 4 and 8 workers") {
+    // k diamonds in a row: 2^j shortest paths cross j of them, so σ overflows
+    // Double across about 1024, and from a source that far from vertex 1 its
+    // entry is not finite; the sources near the middle are all finite
+    val k = 1100
+    val g = CSRGraph.fromEdges(EdgeList(3 * k + 1, Vector.tabulate(k)(i =>
+      Seq((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 3), (3 * i + 2, 3 * i + 3))).flatten))
+    val sources = LocalBrandes.markSources(g.n, (1500 until 1700) ++ (3000 until g.n))
+    val targets = Array(1, 3 * k)
+    val row = new Array[Double](targets.length)
+    val kernel = new LocalBrandes.Kernel(g)
+    val failing = sources.stream.toArray.filterNot(kernel.row(_, targets, row, 0))
+    assert(failing.length > 8 && failing.head > 3000, s"failing sources ${failing.take(3).mkString(",")}...")
+    for (workers <- Seq(1, 2, 4, 8)) {
+      val e = intercept[ArithmeticException](LocalBrandes.dependencyTable(g, sources, targets, workers))
+      assert(e.getMessage.startsWith(s"the dependency of source ${failing.head} on target 1 is ") &&
+        e.getMessage.endsWith("the shortest-path counts σ overflow Double"), s"$workers workers: ${e.getMessage}")
+    }
+  }
+
+  test("dependencyTable has the 1-worker table's bits at 2, 3, 8 and |sources| + 5 workers") {
+    val graphs = (TestGraphs.battery :+ ("karate+path10" -> TestGraphs.disjointUnion(GraphGen.karateClub, GraphGen.path(10))))
+      .map { case (name, el) => name -> CSRGraph.fromEdges(el) } :+
+      ("weighted ba400-1" -> CSRGraph.fromEdges(GraphGen.barabasiAlbert(400, 3, 1L), TestGraphs.smallWeights))
+    for (((name, g), i) <- graphs.zipWithIndex) {
+      val inputs = for {
+        k <- Gen.choose(1, math.min(g.n, 5))
+        targets <- Gen.pick(k, 0 until g.n)
+        sources <- Gen.someOf(0 until g.n)
+      } yield (targets.toArray, LocalBrandes.markSources(g.n, sources))
+      val prop = Prop.forAllNoShrink(inputs) { case (targets, sources) =>
+        val one = LocalBrandes.dependencyTable(g, sources, targets, 1)
+        val differs = Seq(2, 3, 8, sources.cardinality + 5)
+          .find(w => !java.util.Arrays.equals(LocalBrandes.dependencyTable(g, sources, targets, w), one))
+        Prop(differs.isEmpty) :| s"$name, targets ${targets.mkString(",")}: ${differs.getOrElse(0)} workers"
+      }
+      val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(16L + i)), prop)
+      assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
+    }
   }
 
   /** The battery, 25 random connected graphs and a disconnected one
