@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Baselines
+import repro.core.{Baselines, Chunks, MHJoint}
 import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.GraphGen
 
@@ -80,5 +80,31 @@ class T6CompareScaleBench extends SparkSpec {
     }
     println(BenchUtil.table("T6c: exact BC (all vertices), source-parallel Brandes",
       Seq("|V|", "|E|", "wall ms"), rows))
+  }
+
+  test("T6d: local table build cost per source, 1 worker and the driver's pool") {
+    val ba10k = CSRGraph.fromEdges(GraphGen.barabasiAlbert(10000, 4, 7L))
+    val top5 = (0 until ba10k.n).sortBy(v => (-ba10k.degree(v), v)).take(5).toArray
+    val (_, v0, _, pv) = MHJoint.drawProposals(5, ba10k.n, 2000, 1L)
+    val ba2k = CSRGraph.fromEdges(GraphGen.barabasiAlbert(2000, 4, 7L))
+    // the two perfbench queries' tables: joint-top5-10k at seed 1, and single-long-2k,
+    // whose T = 1e7 proposals cover every source
+    val cases = Seq(
+      ("BA(10000,4) joint, seed 1", ba10k, LocalBrandes.markSources(ba10k.n, v0, pv), top5, "top 5 by degree"),
+      ("BA(2000,4) all sources", ba2k, LocalBrandes.allSources(ba2k.n), Array(BenchUtil.medianDegreeVertex(ba2k)),
+        "median degree"))
+    val reps = 7
+    val rows = for {
+      (name, g, sources, targets, probe) <- cases
+      workers <- Seq(1, Chunks.default)
+    } yield {
+      def build(): Array[Double] = LocalBrandes.dependencyTable(g, sources, targets, workers)
+      (1 to 3).foreach(_ => build()) // JIT warm-up
+      val times = (1 to reps).map { _ => val t0 = System.nanoTime(); build(); System.nanoTime() - t0 }.sorted
+      Seq(name, sources.cardinality.toString, probe, workers.toString,
+        BenchUtil.f(times(reps / 2) / 1e3 / sources.cardinality, 1), java.util.Arrays.hashCode(build()).toString)
+    }
+    println(BenchUtil.table(s"T6d: LocalBrandes.dependencyTable, us per source (median of $reps builds)",
+      Seq("graph and sources", "|sources|", "targets", "workers", "us/source", "table hash"), rows))
   }
 }

@@ -51,7 +51,10 @@ object LocalBrandes {
     * σ(v)·(1+δ(w))/σ(w) from every successor w, in reverse visitation order of
     * w: the same terms in the same order as a scan of all neighbours, hence
     * the same bits, whatever order each list is in. A simple undirected graph
-    * has at most one DAG arc per edge, so m arc slots suffice.
+    * has at most one DAG arc per edge, so m arc slots suffice. The marks live
+    * in the list heads: a head ≥ 0 is a list, hence a mark, and an empty
+    * list's head is −2 if its vertex is marked, −1 if not. The sweep stops
+    * at any negative head, and pushing an arc onto w's list marks w.
     *
     * The BFS is direction-optimising (Beamer, Asanović & Patterson 2012): it
     * expands each level from whichever side scans fewer arcs. While the
@@ -76,16 +79,20 @@ object LocalBrandes {
     * w at the order's tail and moves the tail on by fresh = 1 if w was
     * undiscovered, sets dist(w) by arithmetic, and adds to σ(w) the bits of
     * σ(v) masked by child = 1 if w is at the next level. A marked v also
-    * stores the arc in the next slot, links it into w's list only if child,
-    * moves the arc count on by child and ORs child into w's mark. Bottom up,
-    * the level first writes its frontier record: σ(v) and
-    * (position << 1 | mark) for each frontier v. Each arc u—v then adds the
-    * record's σ to σ(u), takes the least position and pushes the arc masked
-    * by the record's mark, two loads per arc. The level resets the record
-    * after it, so between levels and passes it holds 0.0 and −1 for every
-    * vertex, as the construction's fill left it. Bottom up walks a list of
-    * the unvisited vertices in id order, filled by a pass's first bottom-up
-    * level and compacted by each later one, rather than all n vertices. A
+    * stores the arc in the next slot, links it into w's list only if child
+    * (which marks w) and moves the arc count on by child. Bottom up, the
+    * level first writes a key, (position << 1 | mark), for each frontier v.
+    * Each arc u—v then reads v's key and σ(v) in place, two loads per arc:
+    * it adds to σ(u) the bits of σ(v) ANDed with ~(key >> 31), +0.0 off the
+    * frontier, takes the least position and pushes the arc masked by the
+    * key's mark. The keys are set to −1 once per pass, by its first
+    * bottom-up level as it lists the unvisited vertices, not after each
+    * level: the level at distance d reads only keys of neighbours of
+    * unvisited vertices, which lie at distance d or beyond and so hold the
+    * key just written (at d) or the pass's −1 (beyond d). The keys earlier
+    * levels left, nearer s, are never read. So a level costs its scanned
+    * arcs and one key per frontier vertex. Bottom up walks that list in id
+    * order, compacted by each bottom-up level, rather than all n vertices. A
     * masked term is +0.0, and x + 0.0 has the bits of x for every σ ≥ 0, so
     * σ, the arcs and their order, hence δ, keep the bits of the branching
     * loops. The unconditional stores need a spare slot past the end of
@@ -96,31 +103,31 @@ object LocalBrandes {
     *
     * Dijkstra settles the vertices in order of distance, comparing distances
     * with [[tied]]. A vertex w, when settled, takes from its already-settled
-    * neighbours v with d(v) + wt(v, w) tied to d(w) the sum of their σ, a
-    * mark if any of them is marked, and the arc v→w of each marked one. Only
+    * neighbours v with d(v) + wt(v, w) tied to d(w) the sum of their σ and
+    * the arc v→w of each marked one, which marks w. Only
     * vertices settled earlier are predecessors, so the sweep never adds to a
     * vertex it has already passed.
     *
     * A pass allocates nothing: it clears the workspace with sequential
-    * fills, which measured faster than resetting just the visited vertices
+    * fills (the bottom-up keys only when a level runs bottom up), which
+    * measured faster than resetting just the visited vertices
     * through the BFS order (random stores), since a pass on a connected
     * graph visits every vertex anyway. Dijkstra's heap is two primitive
     * arrays, with room for one entry per arc.
     */
   final class Kernel(g: CSRGraph) {
-    private val dist = new Array[Int](g.n) // this array and the next four are cleared by every pass; Dijkstra: 0 once settled
+    private val dist = new Array[Int](g.n) // this array and the next three are cleared by every pass; Dijkstra: 0 once settled
     private val sigma = new Array[Double](g.n)
     private val delta = new Array[Double](g.n)
-    private val marked = new Array[Byte](g.n) // 1 if marked, else 0
-    private val lastArc = new Array[Int](g.n) // head of w's predecessor-arc list, −1 if empty
+    // head of w's predecessor-arc list: −1 if empty and w unmarked, −2 if
+    // empty and w marked (a target, or the source of a whole pass)
+    private val lastArc = new Array[Int](g.n)
     private val order = new Array[Int](g.n + 1) // visitation order, valid up to `visited`; one spare slot
     private val arcFrom = new Array[Int](g.m + 1) // arc a = arcFrom(a) → the w whose list holds a; one spare slot
-    private val nextArc = new Array[Int](g.m + 1) // the next arc in the same list, −1 at its end
-    // bottom up: the frontier record, σ(v) and (position << 1 | mark of v) for
-    // each v of the level being expanded, 0.0 and −1 for every other vertex
-    private val frontierSigma = new Array[Double](g.n)
+    private val nextArc = new Array[Int](g.m + 1) // the next arc in the same list, negative at its end
+    // bottom up: (position << 1 | mark of v) for each v of the level being
+    // expanded, −1 for each vertex beyond it; vertices nearer s keep stale keys
     private val frontierKey = new Array[Int](g.n)
-    java.util.Arrays.fill(frontierKey, -1)
     private val unvisited = new Array[Int](g.n) // bottom up: every unvisited vertex (and maybe some visited), in id order
     private val found = new Array[Int](g.n) // bottom up: the vertices of the new level, in id order
     private val firstParent = new Array[Int](g.n) // bottom up: found(i)'s least parent position in the frontier
@@ -196,13 +203,13 @@ object LocalBrandes {
       val sigma = this.sigma; val delta = this.delta; val order = this.order; val lastArc = this.lastArc
       val arcFrom = this.arcFrom; val nextArc = this.nextArc
       java.util.Arrays.fill(dist, -1); java.util.Arrays.fill(sigma, 0.0); java.util.Arrays.fill(delta, 0.0)
-      java.util.Arrays.fill(marked, 0.toByte); java.util.Arrays.fill(lastArc, -1)
+      java.util.Arrays.fill(lastArc, -1)
       dist(s) = 0; sigma(s) = 1.0
       order(0) = s
       visited = 1; arcs = 0; listed = -1
       var i = 0
-      while (i < targets.length) { marked(targets(i)) = 1; i += 1 }
-      marked(s) = if (whole) 1 else 0
+      while (i < targets.length) { lastArc(targets(i)) = -2; i += 1 }
+      lastArc(s) = if (whole) -2 else -1
 
       if (g.weighted) dijkstra(s) else bfs(s)
 
@@ -266,10 +273,7 @@ object LocalBrandes {
             val u = nbr(j)
             if (dist(u) == 0 && tied(wd(u) + wt(j), wd(v))) {
               sigma(v) += sigma(u)
-              if (marked(u) != 0) {
-                marked(v) = 1
-                arcFrom(arcs) = u; nextArc(arcs) = lastArc(v); lastArc(v) = arcs; arcs += 1
-              }
+              if (lastArc(u) != -1) { arcFrom(arcs) = u; nextArc(arcs) = lastArc(v); lastArc(v) = arcs; arcs += 1 }
             }
             j += 1
           }
@@ -322,8 +326,7 @@ object LocalBrandes {
       * No branch depends on a scanned arc's data (see [[Kernel]]).
       */
     private def topDown(lo: Int, hi: Int, d: Int): Unit = {
-      val dist = this.dist; val sigma = this.sigma; val order = this.order
-      val marked = this.marked; val lastArc = this.lastArc
+      val dist = this.dist; val sigma = this.sigma; val order = this.order; val lastArc = this.lastArc
       val arcFrom = this.arcFrom; val nextArc = this.nextArc
       val offsets = g.offsets; val nbr = g.neighbors
       val step = d + 2 // takes an undiscovered w's −1 to d + 1
@@ -336,7 +339,7 @@ object LocalBrandes {
         val end = offsets(v + 1)
         // two copies of the loop, so an unmarked v stores no arcs: one loop
         // with the push masked by v's mark as well measured 1.7× slower
-        if (marked(v) == 0) {
+        if (lastArc(v) == -1) {
           while (j < end) {
             val w = nbr(j)
             val fresh = dist(w) >>> 31
@@ -358,7 +361,6 @@ object LocalBrandes {
             sigma(w) += java.lang.Double.longBitsToDouble(sv & -child.toLong)
             val head = lastArc(w)
             arcFrom(a) = v; nextArc(a) = head; lastArc(w) = head + ((a - head) & -child); a += child
-            marked(w) = (marked(w) | child).toByte
             j += 1
           }
         }
@@ -368,50 +370,52 @@ object LocalBrandes {
 
     /** Expand the level at distance d, `order(lo until hi)`, from the
       * unvisited vertices, then sort the next level into top-down order.
-      * Through the frontier record, no branch depends on a scanned arc's
-      * data (see [[Kernel]]).
+      * Through the frontier keys, no branch depends on a scanned arc's data
+      * (see [[Kernel]]).
       */
     private def bottomUp(lo: Int, hi: Int, d: Int): Unit = {
-      val dist = this.dist; val sigma = this.sigma; val order = this.order
-      val marked = this.marked; val lastArc = this.lastArc
+      val dist = this.dist; val sigma = this.sigma; val order = this.order; val lastArc = this.lastArc
       val arcFrom = this.arcFrom; val nextArc = this.nextArc
-      val fsig = frontierSigma; val fkey = frontierKey; val unvisited = this.unvisited
+      val fkey = frontierKey; val unvisited = this.unvisited
       val found = this.found; val firstParent = this.firstParent; val bucket = this.bucket
       val offsets = g.offsets; val nbr = g.neighbors
-      var i = lo
-      while (i < hi) { val v = order(i); fsig(v) = sigma(v); fkey(v) = (i - lo) << 1 | marked(v); i += 1 }
       if (listed < 0) {
+        java.util.Arrays.fill(fkey, -1)
         listed = 0
         var u = 0
         while (u < g.n) { unvisited(listed) = u; listed += dist(u) >>> 31; u += 1 }
+      }
+      var i = lo
+      while (i < hi) {
+        val v = order(i); val h = lastArc(v)
+        fkey(v) = (i - lo) << 1 | ((h + 1 | -(h + 1)) >>> 31) // 1 iff h ≠ −1, v is marked
+        i += 1
       }
       var count = 0; var kept = 0; var a = arcs
       var p = 0
       while (p < listed) {
         val u = unvisited(p); p += 1
         if (dist(u) < 0) { // top down may have visited u since it was listed
-          var su = 0.0; var first = Int.MaxValue; var mu = marked(u).toInt; var head = lastArc(u)
+          var su = 0.0; var first = Int.MaxValue; var head = lastArc(u)
           var j = offsets(u)
           val end = offsets(u + 1)
           while (j < end) {
             val v = nbr(j)
             val key = fkey(v)
-            su += fsig(v)
+            val parent = ~(key >> 31) // −1 if v is in the frontier, else 0
+            su += java.lang.Double.longBitsToDouble(java.lang.Double.doubleToRawLongBits(sigma(v)) & parent.toLong)
             first = math.min(first, key >>> 1)
-            val push = key & ~(key >> 31) & 1 // v is a marked parent
+            val push = key & parent & 1 // v is a marked parent
             arcFrom(a) = v; nextArc(a) = head; head += (a - head) & -push; a += push
-            mu |= push
             j += 1
           }
           if (first < Int.MaxValue) {
-            dist(u) = d + 1; sigma(u) = su; marked(u) = mu.toByte; lastArc(u) = head
+            dist(u) = d + 1; sigma(u) = su; lastArc(u) = head
             firstParent(count) = first; found(count) = u; count += 1
           } else { unvisited(kept) = u; kept += 1 }
         }
       }
       listed = kept
-      i = lo
-      while (i < hi) { val v = order(i); fsig(v) = 0.0; fkey(v) = -1; i += 1 }
 
       // stable counting sort of `found` (in id order) on the first parent's position
       val width = hi - lo
