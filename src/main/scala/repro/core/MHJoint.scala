@@ -91,16 +91,20 @@ object MHJoint {
 
   /** Accept/reject walk over a δ table (n × |R|, see [[JointChain.delta]]):
     * [[MHSingle.walk]]'s loop over the flat states v·|R| + k, so the same
-    * zero-δ conventions and failures hold, naming the source v.
-    * @throws IllegalArgumentException if r0 or a `propsR(t)` is outside [0, |R|) or v0 or a `propsV(t)`
-    *   outside [0, n), naming the step and the value, or if `propsR` and `propsV` differ in length
+    * zero-δ conventions and failures hold, naming the source v, over the
+    * drawn sources' whole rows: a NaN at an r-index never drawn fails too.
+    * @throws IllegalArgumentException first, if r0 or a `propsR(t)` is outside [0, |R|) or v0 or a
+    *   `propsV(t)` outside [0, n), naming the step and the value, or if `propsR` and `propsV` differ in length
     */
   def walk(R: Array[Int], n: Int, seed: Long, r0: Int, v0: Int,
            propsR: Array[Int], propsV: Array[Int],
-           delta: Array[Double]): JointChain = {
+           delta: Array[Double]): JointChain =
+    flatWalk(R, n, seed, r0, v0, propsR, propsV)(_ => delta)
+
+  /** [[walk]] over the table that `table` builds for its drawn sources. */
+  private def flatWalk(R: Array[Int], n: Int, seed: Long, r0: Int, v0: Int, propsR: Array[Int],
+                       propsV: Array[Int])(table: BitSet => Array[Double]): JointChain = {
     val width = R.length
-    require(delta.length == n * width,
-      s"delta table has length ${delta.length}, expected n * |R| = $n * $width")
     val T = propsV.length
     require(propsR.length == T, s"propsR has ${propsR.length} steps and propsV has $T; they must be equal")
     def flat(t: Int, r: Int, v: Int): Int = { // t = −1: the initial state
@@ -113,7 +117,7 @@ object MHJoint {
     val proposals = new Array[Int](T)
     var t = 0
     while (t < T) { proposals(t) = flat(t, propsR(t), propsV(t)); t += 1 }
-    val states = MHSingle.independenceWalk(seed, s0, proposals, delta, width, Chunks.default)
+    val (states, delta) = MHSingle.independenceWalk(seed, s0, proposals, n, width, Chunks.default)(table)
     JointChain(R, n, seed, states, proposals, delta)
   }
 
@@ -128,10 +132,10 @@ object MHJoint {
                seed: Long): JointChain =
     sample(g.n, R, T, seed)(SparkBrandes.sessionTable(spark, g, _, R)._1)
 
-  /** The one seed → chain path: draw, mark the distinct sources, build their
-    * δ table with `table` (n × |R| as in [[JointChain.delta]], every marked
-    * row filled, other rows never read), walk. [[run]]/[[runSpark]] pass the
-    * local/Spark table builder; a caller holding a cached table passes `_ => table`.
+  /** The one seed → chain path: validate, draw, walk; the walk calls `table`
+    * once, on the distinct drawn sources, for their δ table (n × |R| as in
+    * [[JointChain.delta]], every marked row filled, other rows never read).
+    * [[run]]/[[runSpark]] pass the local/Spark table builder; a cached table passes `_ => table`.
     */
   def sample(n: Int, R: Array[Int], T: Int, seed: Long)
                     (table: BitSet => Array[Double]): JointChain = {
@@ -142,6 +146,6 @@ object MHJoint {
       s"target set R=${R.mkString("{", ",", "}")} has repeated vertices")
     require(T >= 0, s"chain length T=$T must be non-negative")
     val (r0, v0, pr, pv) = drawProposals(R.length, n, T, seed)
-    walk(R, n, seed, r0, v0, pr, pv, table(LocalBrandes.markSources(n, v0, pv)))
+    flatWalk(R, n, seed, r0, v0, pr, pv)(table)
   }
 }

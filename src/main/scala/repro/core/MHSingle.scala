@@ -145,54 +145,72 @@ object MHSingle {
     * accepted from a state with δ > 0 (min{1, 0/δ} = 0) — so the chain
     * enters supp(δ) and never leaves it.
     *
-    * @throws NoSuchElementException if the column has no δ for v0 or for a
-    *   proposal; it names v0, or else the first such proposal in chain order
-    * @throws IllegalArgumentException if v0 or a proposal is outside
-    *   [0, n), naming the first such step and the value, or if an entry of
-    *   the column is negative or +∞, naming the source
+    * Only the drawn sources' entries (v0's and the proposals') are checked,
+    * so any value elsewhere walks. The checks run in the order listed:
+    * @throws IllegalArgumentException if v0 is outside [0, n), the column's
+    *   length is not n, or a drawn source's δ is negative or +∞, naming it
+    * @throws NoSuchElementException if a drawn source's δ is NaN (not
+    *   evaluated), naming v0, or else the first such proposal in chain order
+    * @throws IllegalArgumentException if a proposal is outside [0, n),
+    *   naming the first such step and the value
     */
   def walk(r: Int, n: Int, seed: Long, v0: Int, proposals: Array[Int],
-           delta: Array[Double]): Chain = {
-    require(delta.length == n, s"delta column has length ${delta.length}, expected n=$n")
-    Chain(r, n, seed, independenceWalk(seed, v0, proposals, delta, 1, Chunks.default), proposals, delta)
-  }
+           delta: Array[Double]): Chain =
+    Chain(r, n, seed, independenceWalk(seed, v0, proposals, n, 1, Chunks.default)(_ => delta)._1, proposals, delta)
 
-  /** The one Independence-MH accept/reject loop of both samplers, over flat
-    * states s = v·width + k indexing `weight`, which holds `width` entries per
-    * source vertex v. Conventions and failures as in [[walk]], naming the
-    * vertex v; returns the T + 1 states, the same bits at every chunk count.
+  /** The one Independence-MH engine of both samplers, over flat states
+    * s = v·width + k into n source rows of `width` entries, and the only code
+    * that handles a chain's drawn sources: it marks them once (v = s / width
+    * for s0 and each proposal inside the table), calls `build` once on them,
+    * checks their rows as [[walk]] lists, naming v (a NaN anywhere in a row
+    * fails: a builder fills whole rows), takes δ_max below as their largest
+    * entry, and walks. Returns the T + 1 states, the same bits at every chunk
+    * count, and the table.
     *
     * The walk runs in `chunks` chunks of steps at once, because copies of an
     * independence chain started from different states merge at the first
     * proposal that every state accepts (the coupling behind perfect sampling
-    * for IMH, Corcoran & Tweedie 2002). With δ_max the largest evaluated
-    * weight, step t's proposal p is accepted from every state when
-    * u_t < δ(p)/δ_max: from a state with δ = 0 always, and from one with
-    * 0 < δ ≤ δ_max because correctly rounded division is monotone, so
-    * δ(p)/δ ≥ δ(p)/δ_max. That has probability E[δ]/δ_max = 1/μ(r) per step
-    * (the quantity of Theorem 1; Mengersen & Tweedie 1996). Each chunk but
-    * the first looks for its first such step τ and walks from τ to its end,
-    * as the first chunk walks from s0, all on [[Chunks]]; then one
-    * sequential pass walks each chunk's steps before τ from the previous
-    * chunk's end state. A chunk with no such step (δ_max = 0, or μ(r) about
-    * the chunk length or more) is walked whole in that pass: the same bits,
-    * only not faster. The u_t come from one stream, each chunk's jumped
-    * ahead to its first step.
+    * for IMH, Corcoran & Tweedie 2002). Every state lies in a drawn row, so
+    * with δ_max their largest entry, step t's proposal p is accepted from
+    * every state when u_t < δ(p)/δ_max: from a state with δ = 0 always, and
+    * from one with 0 < δ ≤ δ_max because correctly rounded division is
+    * monotone, so δ(p)/δ ≥ δ(p)/δ_max. That has probability
+    * E[δ]/δ_max = 1/μ(r) per step (the quantity of Theorem 1; Mengersen &
+    * Tweedie 1996). Each chunk but the first looks for its first such step
+    * τ and walks from τ to its end, as the first chunk walks from s0, all on
+    * [[Chunks]]; then one sequential pass walks each chunk's steps before τ
+    * from the previous chunk's end state. A chunk with no such step
+    * (δ_max = 0, or μ(r) about the chunk length or more) is walked whole in
+    * that pass: the same bits, only not faster. The u_t come from one
+    * stream, each chunk's jumped ahead to its first step.
     *
-    * The inputs are checked in three steps. Before the walk: s0, and the
-    * whole table for a negative or +∞ weight. In the chunks: a proposal
-    * outside the table, by the JVM's own index check on `weight(p)`, which
-    * every step already pays (a separate pass over T = 1e7 proposals cost
-    * 10–20% of the walk); the chunk records it and stops. After them: a
-    * NaN (unevaluated) weight at s0 or a proposal, which only misdirects
-    * the chunks, since every comparison with NaN is false.
+    * A proposal outside the table is found last, by the JVM's own index
+    * check on `weight(p)`, which every step already pays (a separate pass
+    * over T = 1e7 proposals cost 10–20% of the walk); the chunk records it.
     */
-  private[core] def independenceWalk(seed: Long, s0: Int, proposals: Array[Int], weight: Array[Double],
-                                     width: Int, chunks: Int): Array[Int] = {
-    val n = weight.length / width
-    require(s0 >= 0 && s0 < weight.length,
+  private[core] def independenceWalk(seed: Long, s0: Int, proposals: Array[Int], n: Int, width: Int, chunks: Int)
+                                    (build: BitSet => Array[Double]): (Array[Int], Array[Double]) = {
+    require(s0 >= 0 && s0 < n.toLong * width,
       s"vertex ${Math.floorDiv(s0, width)} at the initial state is outside [0, n = $n)")
-    val dmax = couplingBound(weight, width)
+    val drawn = LocalBrandes.markSources(n, s0, proposals, width)
+    val weight = build(drawn)
+    require(weight.length == n.toLong * width,
+      s"delta table has length ${weight.length}, expected n * |R| = $n * $width")
+    var max = 0.0
+    val holes = new BitSet // drawn sources with a NaN (unevaluated) entry
+    drawn.stream.forEach { v =>
+      for (i <- v * width until (v + 1) * width) {
+        val w = weight(i)
+        if (w < 0.0 || w == Double.PositiveInfinity)
+          throw new IllegalArgumentException(s"the dependency of source $v is $w; a dependency is finite and non-negative")
+        if (w > max) max = w else if (w.isNaN) holes.set(v)
+      }
+    }
+    val dmax = max // a val, so the chunks read a constant, not the closure's shared cell
+    if (!holes.isEmpty) {
+      val first = (Iterator.single(s0) ++ proposals).map(Math.floorDiv(_, width)).find(v => v >= 0 && holes.get(v)).get
+      throw new NoSuchElementException(s"the dependency of source $first was not evaluated")
+    }
     val T = proposals.length
     val states = new Array[Int](T + 1)
     states(0) = s0
@@ -218,17 +236,12 @@ object MHSingle {
     }
     val t = if (outside.contains(true)) proposals.indexWhere(p => p < 0 || p >= weight.length) else -1
     require(t < 0, s"vertex ${Math.floorDiv(proposals(t), width)} at step $t is outside [0, n = $n)")
-    // each drawn state once: marking stops once every state is drawn
-    if (LocalBrandes.markSources(weight.length, s0, proposals).stream.anyMatch(weight(_).isNaN)) {
-      val first = (s0 +: proposals).find(weight(_).isNaN).get
-      throw new NoSuchElementException(s"the dependency of source ${first / width} was not evaluated")
-    }
     var c = 1
     while (c < k) {
       steps(stream(seed, lo(c)), lo(c), tau(c), states(lo(c)), proposals, weight, states)
       c += 1
     }
-    states
+    (states, weight)
   }
 
   /** Steps `from until to` of the walk, from state `start` and drawing from
@@ -257,21 +270,6 @@ object MHSingle {
     rnd
   }
 
-  /** δ_max of the coupling, the largest weight, after the walk's check of the
-    * whole table: a negative or +∞ weight fails naming its source. */
-  private def couplingBound(weight: Array[Double], width: Int): Double = {
-    var max = 0.0
-    var min = 0.0
-    var i = 0
-    while (i < weight.length) { val w = weight(i); if (w > max) max = w else if (w < min) min = w; i += 1 }
-    if (min < 0.0 || max == Double.PositiveInfinity) {
-      val bad = weight.indexWhere(w => w < 0.0 || w == Double.PositiveInfinity)
-      throw new IllegalArgumentException(
-        s"the dependency of source ${bad / width} is ${weight(bad)}; a dependency is finite and non-negative")
-    }
-    max
-  }
-
   /** Both chains' share of accepted steps, each read as `accepted(t)`: X_{t+1} = proposal t. */
   private[core] def acceptanceRate(states: Array[Int], proposals: Array[Int]): Double = {
     val T = proposals.length
@@ -293,15 +291,16 @@ object MHSingle {
   def runSpark(spark: SparkSession, g: CSRGraph, r: Int, T: Int, seed: Long): Chain =
     sample(g.n, r, T, seed)(SparkBrandes.sessionTable(spark, g, _, Array(r))._1)
 
-  /** The one seed → chain path: draw, mark the distinct sources, build their
-    * δ column with `column` (length n, δ_{v•}(r) at every marked v, other
-    * entries never read), walk. [[run]]/[[runSpark]] pass the local/Spark
-    * table builder; a caller holding a cached column passes `_ => column`.
+  /** The one seed → chain path: validate, draw, walk; the walk calls `column`
+    * once, on the distinct drawn sources, for their δ column (length n,
+    * δ_{v•}(r) at every marked v, other entries never read). [[run]]/[[runSpark]]
+    * pass the local/Spark table builder; a cached column passes `_ => column`.
     */
   def sample(n: Int, r: Int, T: Int, seed: Long)(column: BitSet => Array[Double]): Chain = {
     require(r >= 0 && r < n, s"target r=$r is not a vertex of a graph with n=$n vertices")
     require(T >= 0, s"chain length T=$T must be non-negative")
     val (v0, props) = drawProposals(n, T, seed)
-    walk(r, n, seed, v0, props, column(LocalBrandes.markSources(n, v0, props)))
+    val (states, delta) = independenceWalk(seed, v0, props, n, 1, Chunks.default)(column)
+    Chain(r, n, seed, states, props, delta)
   }
 }

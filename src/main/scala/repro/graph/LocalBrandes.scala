@@ -444,19 +444,20 @@ object LocalBrandes {
     marked
   }
 
-  /** The distinct vertices among `first` and `rest`, which must lie in
-    * `0 until n` (a sampler's initial state and its proposals). The scan
-    * stops once all n are marked: a chain of T ≫ n log n uniform proposals
-    * has proposed every vertex after about n ln n of them.
+  /** The distinct sources v = s / width of a sampler's initial state `first`
+    * and proposals `rest`, flat states over n rows of `width` entries (`first`
+    * inside them; a state of `rest` outside them is skipped). The scan stops
+    * once all n are marked: a chain of T ≫ n log n uniform proposals has
+    * proposed every vertex after about n ln n of them.
     */
-  def markSources(n: Int, first: Int, rest: Array[Int]): BitSet = {
+  def markSources(n: Int, first: Int, rest: Array[Int], width: Int = 1): BitSet = {
     val marked = new BitSet(n)
-    marked.set(first)
+    marked.set(first / width)
     var unmarked = n - 1
     var i = 0
     while (unmarked > 0 && i < rest.length) {
-      val v = rest(i)
-      if (!marked.get(v)) { marked.set(v); unmarked -= 1 }
+      val s = rest(i)
+      if (s >= 0 && s < n.toLong * width && !marked.get(s / width)) { marked.set(s / width); unmarked -= 1 }
       i += 1
     }
     marked
@@ -529,11 +530,13 @@ object LocalBrandes {
   }
 
   /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
-  def bc(g: CSRGraph): Array[Double] = {
+  def bc(g: CSRGraph): Array[Double] = bc(g, Iterator.range(0, g.n))
+
+  /** [[bc]]'s fold over `sources` in their order, also each task of [[SparkBrandes.bc]]. */
+  private[graph] def bc(g: CSRGraph, sources: Iterator[Int]): Array[Double] = {
     val acc = new Array[Double](g.n)
     val kernel = new Kernel(g)
-    var s = 0
-    while (s < g.n) { kernel.addDependencies(s, acc); s += 1 }
+    sources.foreach(kernel.addDependencies(_, acc))
     acc
   }
 

@@ -19,17 +19,13 @@ import repro.core.Chunks
 object SparkBrandes {
 
   /** Exact BC of every vertex: each task sums the dependency vectors of its
-    * sources in one [[LocalBrandes.Kernel]], and the driver sums the
-    * per-partition sums in partition order, so repeated calls at one
+    * sources, in order, with [[LocalBrandes.bc]]'s fold, and the driver sums
+    * the per-partition sums in partition order, so repeated calls at one
     * partition count are bit-identical.
     */
   def bc(spark: SparkSession, g: CSRGraph, numPartitions: Int = 0): Array[Double] =
-    perPartition(spark, g, Array.range(0, g.n), numPartitions) { (graph, sources) =>
-      val acc = new Array[Double](graph.n)
-      val kernel = new LocalBrandes.Kernel(graph)
-      sources.foreach(kernel.addDependencies(_, acc))
-      acc
-    }.foldLeft(new Array[Double](g.n))(LocalBrandes.accumulate)
+    perPartition(spark, g, Array.range(0, g.n), numPartitions)(LocalBrandes.bc(_, _))
+      .foldLeft(new Array[Double](g.n))(LocalBrandes.accumulate)
 
   /** [[LocalBrandes.dependencyTable]] as one distributed job: the marked
     * sources are split over `numPartitions` tasks (default: the session's
@@ -103,15 +99,13 @@ object SparkBrandes {
     finally bg.destroy()
   }
 
-  /** The δ column δ_{v•}(r) over the distinct vertices of `sources` (NaN
-    * elsewhere), as one distributed job.
-    */
+  /** [[dependenciesOnTargets]] for one target r: the δ column δ_{v•}(r), NaN at unlisted v. */
   def dependenciesOnTarget(
       spark: SparkSession,
       g: CSRGraph,
       sources: Seq[Int],
       r: Int): Array[Double] =
-    dependencyTable(spark, g, LocalBrandes.markSources(g.n, sources), Array(r))
+    dependenciesOnTargets(spark, g, sources, Array(r))
 
   /** The δ table restricted to `targets` over the distinct vertices of
     * `sources`: one Brandes pass per source yields δ_{v•}(x) for *all* x

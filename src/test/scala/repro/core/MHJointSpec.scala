@@ -210,12 +210,39 @@ class MHJointSpec extends SparkSpec {
     val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, karate.n, 20, 3L)
     val undrawn = (0 until karate.n).filter(v => v != v0 && !pv.contains(v))
     assert(undrawn.nonEmpty)
-    val holed = table.clone()
-    for (v <- undrawn; k <- R.indices) holed(v * R.length + k) = Double.NaN
-    val a = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, holed)
-    val b = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, table)
-    assert(a.states.map(rIndex(a, _)).sameElements(b.states.map(rIndex(b, _))) &&
-      a.states.map(vertex(a, _)).sameElements(b.states.map(vertex(b, _))))
+    // neither checked nor read: not even a negative, +∞ or larger δ elsewhere
+    for (junk <- Seq(Double.NaN, -1.0, Double.PositiveInfinity, 1e9)) {
+      val holed = table.clone()
+      for (v <- undrawn; k <- R.indices) holed(v * R.length + k) = junk
+      val a = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, holed)
+      val b = MHJoint.walk(R, karate.n, 3L, r0, v0, pr, pv, table)
+      assert(a.states.map(rIndex(a, _)).sameElements(b.states.map(rIndex(b, _))) &&
+        a.states.map(vertex(a, _)).sameElements(b.states.map(vertex(b, _))), s"$junk elsewhere")
+    }
+  }
+
+  test("walk checks a drawn source's whole row: a NaN at an r-index never drawn fails, naming the source") {
+    val R = Array(0, 33, 2)
+    val table = LocalBrandes.dependencyTable(karate, LocalBrandes.allSources(karate.n), R)
+    // source 5 is drawn once, at r-index 1; a builder fills whole rows, so a hole at r-index 2 is a fault
+    table(5 * R.length + 2) = Double.NaN
+    val e = intercept[NoSuchElementException](
+      MHJoint.walk(R, karate.n, 1L, r0 = 0, v0 = 1, Array(1, 2, 0), Array(2, 5, 3), table))
+    assert(e.getMessage == "the dependency of source 5 was not evaluated", e.getMessage)
+  }
+
+  test("sample calls its builder once per chain, on exactly the drawn sources") {
+    val R = Array(0, 33, 2)
+    for ((steps, seed) <- Seq((0, 1L), (20, 3L), (5000, 7L))) {
+      val (_, v0, _, pv) = MHJoint.drawProposals(R.length, karate.n, steps, seed)
+      val calls = Seq.newBuilder[java.util.BitSet]
+      val chain = MHJoint.sample(karate.n, R, steps, seed) { drawn =>
+        calls += drawn.clone().asInstanceOf[java.util.BitSet]
+        LocalBrandes.dependencyTable(karate, drawn, R)
+      }
+      assert(calls.result() == Seq(LocalBrandes.markSources(karate.n, v0, pv)), s"T = $steps")
+      assert(chain.states.sameElements(MHJoint.run(karate, R, steps, seed).states), s"T = $steps")
+    }
   }
 
   test("on karate ⊎ path(10) an R spanning both components has disjoint supports: Eq. 22 sums only the transient") {

@@ -230,10 +230,10 @@ class MHSingleSpec extends SparkSpec {
     def sameAtEveryChunkCount(what: String, seed: Long, s0: Int, props: Array[Int], weight: Array[Double],
                               width: Int): Unit = {
       // the acceptances are read off the states, so equal states give equal flags
-      val states = MHSingle.independenceWalk(seed, s0, props, weight, width, 1)
+      def walk(chunks: Int) = MHSingle.independenceWalk(seed, s0, props, weight.length / width, width, chunks)(_ => weight)._1
+      val states = walk(1)
       for (chunks <- Seq(2, 3, 8, props.length + 5))
-        assert(MHSingle.independenceWalk(seed, s0, props, weight, width, chunks).sameElements(states),
-          s"$what, $chunks chunks")
+        assert(walk(chunks).sameElements(states), s"$what, $chunks chunks")
     }
     def single(what: String, g: CSRGraph, r: Int, T: Int, seed: Long): Unit = {
       val (v0, props) = MHSingle.drawProposals(g.n, T, seed)
@@ -268,7 +268,7 @@ class MHSingleSpec extends SparkSpec {
     col(5) = Double.NaN
     col(9) = Double.NaN
     for (chunks <- Seq(1, 2, 3, 8, props.length + 5)) {
-      val e = intercept[NoSuchElementException](MHSingle.independenceWalk(1L, 1, props, col, 1, chunks))
+      val e = intercept[NoSuchElementException](MHSingle.independenceWalk(1L, 1, props, col.length, 1, chunks)(_ => col))
       assert(e.getMessage == "the dependency of source 5 was not evaluated", s"$chunks chunks: ${e.getMessage}")
     }
   }
@@ -300,10 +300,26 @@ class MHSingleSpec extends SparkSpec {
     val (v0, props) = MHSingle.drawProposals(karate.n, 20, 3L)
     val undrawn = (0 until karate.n).filter(v => v != v0 && !props.contains(v))
     assert(undrawn.nonEmpty)
-    val holed = col.clone()
-    undrawn.foreach(holed(_) = Double.NaN)
-    assert(MHSingle.walk(0, karate.n, 3L, v0, props, holed).states
-      .sameElements(MHSingle.walk(0, karate.n, 3L, v0, props, col).states))
+    // neither checked nor read: not even a negative, +∞ or larger δ elsewhere
+    for (junk <- Seq(Double.NaN, -1.0, Double.PositiveInfinity, 1e9)) {
+      val holed = col.clone()
+      undrawn.foreach(holed(_) = junk)
+      assert(MHSingle.walk(0, karate.n, 3L, v0, props, holed).states
+        .sameElements(MHSingle.walk(0, karate.n, 3L, v0, props, col).states), s"$junk elsewhere")
+    }
+  }
+
+  test("sample calls its builder once per chain, on exactly the drawn sources") {
+    for ((steps, seed) <- Seq((0, 1L), (20, 3L), (5000, 7L))) {
+      val (v0, props) = MHSingle.drawProposals(karate.n, steps, seed)
+      val calls = Seq.newBuilder[java.util.BitSet]
+      val chain = MHSingle.sample(karate.n, 0, steps, seed) { drawn =>
+        calls += drawn.clone().asInstanceOf[java.util.BitSet]
+        LocalBrandes.dependencyTable(karate, drawn, Array(0))
+      }
+      assert(calls.result() == Seq(LocalBrandes.markSources(karate.n, v0, props)), s"T = $steps")
+      assert(chain.states.sameElements(MHSingle.run(karate, 0, steps, seed).states), s"T = $steps")
+    }
   }
 
   test("on karate ⊎ path(10) the other component has δ = 0 and the harmonic estimate finds BC(0)") {

@@ -8,7 +8,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * weight tables of 1 to 4 entries per source, with zeros and ties, all-zero
   * tables and tables with one positive entry, the chunked walk gives the
   * [[ReferenceWalk]]'s states at every chunk count, and the flags both chain
-  * kinds derive from their states are the reference's flags.
+  * kinds derive from their states are the reference's flags; also when only
+  * some sources are drawn and the other rows hold junk.
   */
 class WalkPropertySpec extends AnyFunSuite {
 
@@ -35,14 +36,30 @@ class WalkPropertySpec extends AnyFunSuite {
     proposals <- Gen.listOfN(T, Gen.choose(0, weight.length - 1))
   } yield Case(seed, width, weight, s0, proposals.toArray)
 
-  test("the walk gives the reference's states at every chunk count, and the chains derive its flags") {
-    val prop = Prop.forAllNoShrink(cases) { c =>
+  /** A case's s0 and proposals redrawn among the flat states of a subset of
+    * its sources; every other row holds larger weights, NaN, negative and
+    * +∞ entries, which the walk must neither check nor read.
+    */
+  private val partlyDrawn: Gen[Case] = for {
+    c <- cases
+    drawn <- Gen.atLeastOne(0 until c.weight.length / c.width)
+    junk <- Gen.listOfN(c.weight.length, Gen.oneOf(1e6, Double.NaN, -1.0, Double.PositiveInfinity))
+    states = drawn.flatMap(v => v * c.width until (v + 1) * c.width).toIndexedSeq
+    s0 <- Gen.oneOf(states)
+    proposals <- Gen.listOfN(c.proposals.length, Gen.oneOf(states))
+  } yield c.copy(weight = Array.tabulate(c.weight.length)(i => if (drawn.contains(i / c.width)) c.weight(i) else junk(i)),
+    s0 = s0, proposals = proposals.toArray)
+
+  private def matchesReference(gen: Gen[Case]): Unit = {
+    val prop = Prop.forAllNoShrink(gen) { c =>
       val T = c.proposals.length
+      val n = c.weight.length / c.width
       val (states, flags) = ReferenceWalk(c.seed, c.s0, c.proposals, c.weight)
-      val walks = Seq(1, 2, 3, 8, T + 5).map(k => k -> MHSingle.independenceWalk(c.seed, c.s0, c.proposals, c.weight, c.width, k))
+      val walks = Seq(1, 2, 3, 8, T + 5).map(k =>
+        k -> MHSingle.independenceWalk(c.seed, c.s0, c.proposals, n, c.width, k)(_ => c.weight)._1)
       val walked = walks.head._2
       val chain = Chain(0, c.weight.length, c.seed, walked, c.proposals, c.weight)
-      val joint = JointChain(Array.range(0, c.width), c.weight.length / c.width, c.seed, walked, c.proposals, c.weight)
+      val joint = JointChain(Array.range(0, c.width), n, c.seed, walked, c.proposals, c.weight)
       val rate = if (T == 0) 0.0 else flags.count(identity).toDouble / T
       val mismatch = walks.collectFirst { case (k, s) if !s.sameElements(states) => s"states at $k chunks" }
         .orElse((0 until T).find(t => chain.accepted(t) != flags(t)).map(t => s"Chain.accepted($t)"))
@@ -52,5 +69,13 @@ class WalkPropertySpec extends AnyFunSuite {
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(2019L)), prop)
     assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
+  }
+
+  test("the walk gives the reference's states at every chunk count, and the chains derive its flags") {
+    matchesReference(cases)
+  }
+
+  test("the walk reads only the drawn sources' rows: junk in every other row changes no state or flag") {
+    matchesReference(partlyDrawn)
   }
 }

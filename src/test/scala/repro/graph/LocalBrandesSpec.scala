@@ -155,6 +155,11 @@ class LocalBrandesSpec extends AnyFunSuite {
       val marked = LocalBrandes.markSources(n, first, rest)
       assert(marked == LocalBrandes.markSources(n, first +: rest.toSeq), s"n = $n, ${rest.length} sources")
     }
+    // flat states over rows of `width` entries mark their rows, and a state outside the table is
+    // skipped: −2 / 3 would mark row 0 and 18 / 3 row 6 of a 6-row table
+    assert(LocalBrandes.markSources(6, 4, Array(7, -2, 18, 17, 9, Int.MaxValue, 3), width = 3) ==
+      LocalBrandes.markSources(6, Seq(1, 2, 5, 3)))
+    assert(LocalBrandes.markSources(5, 0, Array(5, -1, 3)) == LocalBrandes.markSources(5, Seq(0, 3)))
   }
 
   test("a non-finite dependency fails the table build (sigma overflow on a 530x530 grid)") {

@@ -93,6 +93,23 @@ class SparkBrandesSpec extends SparkSpec {
     } finally pool.shutdown()
   }
 
+  test("sessionTable on a local session builds on the driver's pool, bit for bit the Spark job's table") {
+    // the other branch, a Spark job on a non-local master, cannot start in a test session
+    assert(spark.sparkContext.isLocal)
+    val el = GraphGen.barabasiAlbert(300, 3, 7L)
+    val targets = Array(3, 17, 150)
+    for ((kind, g) <- Seq("unweighted" -> CSRGraph.fromEdges(el), "weighted" -> CSRGraph.fromEdges(el, TestGraphs.smallWeights));
+         sources <- Seq(LocalBrandes.markSources(g.n, Seq.tabulate(120)(i => (i * 7) % g.n)),
+                        LocalBrandes.markSources(g.n, Seq(5, 40)))) {
+      val (table, where) = SparkBrandes.sessionTable(spark, g, sources, targets)
+      val workers = repro.core.Chunks.count(sources.cardinality, repro.core.Chunks.default)
+      assert(where == s"driver pool, $workers workers", s"$kind, ${sources.cardinality} sources")
+      assert(table.map(java.lang.Double.doubleToRawLongBits)
+        .sameElements(SparkBrandes.dependencyTable(spark, g, sources, targets).map(java.lang.Double.doubleToRawLongBits)),
+        s"$kind, ${sources.cardinality} sources")
+    }
+  }
+
   test("BC is unchanged under a seeded vertex relabelling: BC'(π(v)) = BC(v), locally and on Spark") {
     def irregular(e: (Int, Int)): Double = 0.1 + ((e._1 * 2654435761L + e._2 * 40503L) % 10007) / 1234.567
     def close(a: Double, b: Double): Boolean = math.abs(a - b) <= 1e-9 * math.max(math.abs(a), math.abs(b))
