@@ -64,8 +64,9 @@ object Jobs {
   def csr(spec: String): CSRGraph = CSRGraph.fromEdges(graph(spec))
 
   /** The samplers' `runSpark` table builder ([[SparkBrandes.sessionTable]]),
-    * which also passes `report` where the table was built and its wall time,
-    * as "driver pool, 4 workers, 0.012 s", for a job's result line.
+    * which also passes `report` where the table was built, the Brandes passes
+    * it ran and its wall time, as "driver pool, 4 workers, 452 of 2000
+    * sources evaluated, 0.009 s", for a job's result line.
     */
   def reportingTable(spark: SparkSession, g: CSRGraph, targets: Array[Int])
                     (report: String => Unit): BitSet => Array[Double] = { sources =>

@@ -70,33 +70,41 @@ final case class Chain(
     var v = 0
     while (v < n) { val d = delta(v); if (d > 0.0) inv(v) = 1.0 / d; v += 1 }
     // the calling thread sums over the states, in chain order, while the
-    // pool counts the positive proposals (an integer: any order will do)
-    val k = Chunks.count(T, Chunks.default - 1)
-    val positive = new Array[Int](k) // δ > 0 among chunk c's proposals, −1 once one is unevaluated
+    // pool counts the states and the proposals with δ > 0 (integers: any
+    // order will do), adding each test's 0 or 1 rather than branching on it:
+    // off a hub the support is a fraction of V, and a branch on it mispredicts
+    val k = Chunks.count(T + 1, Chunks.default - 1)
+    val positive = new Array[Int](k) // δ > 0 among chunk c's proposals, −1 if one is unevaluated
+    val supported = new Array[Int](k) // δ > 0 among chunk c's states
     var invSum = 0.0
-    var inSupport = 0
     Chunks.run(k + 1) { c =>
       if (c == 0) {
         var sum = 0.0
-        var count = 0
         var t = 0
-        while (t <= T) { val s = states(t); sum += inv(s); if (delta(s) > 0.0) count += 1; t += 1 }
+        while (t <= T) { sum += inv(states(t)); t += 1 }
         invSum = sum
-        inSupport = count
       } else {
         var p = 0
+        var unevaluated = false
         var t = Chunks.start(T, k, c - 1)
-        val end = Chunks.start(T, k, c)
-        while (t < end && p >= 0) {
+        var end = Chunks.start(T, k, c)
+        while (t < end) {
           val d = delta(proposals(t))
-          if (d > 0.0) p += 1 else if (d.isNaN) p = -1
+          p += (if (d > 0.0) 1 else 0)
+          unevaluated |= java.lang.Double.isNaN(d)
           t += 1
         }
-        positive(c - 1) = p
+        positive(c - 1) = if (unevaluated) -1 else p
+        var q = 0
+        t = Chunks.start(T + 1, k, c - 1)
+        end = Chunks.start(T + 1, k, c)
+        while (t < end) { q += (if (delta(states(t)) > 0.0) 1 else 0); t += 1 }
+        supported(c - 1) = q
       }
     }
     if (positive.contains(-1)) return Double.NaN
     val suppHat = n.toDouble * (positive.sum + (if (d0 > 0.0) 1 else 0)) / (T + 1)
+    val inSupport = supported.sum
     if (inSupport == 0 || suppHat == 0.0) 0.0
     else suppHat / (invSum / inSupport)
   }

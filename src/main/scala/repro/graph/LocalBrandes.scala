@@ -468,7 +468,9 @@ object LocalBrandes {
     * every source v in `sources`, and NaN ("not evaluated") for every other
     * v. With a single target it is the column δ_{·•}(r).
     *
-    * The rows are built on the driver's cores: [[repro.core.Chunks.default]]
+    * A Brandes pass runs only for the sources that [[supported]] keeps; every
+    * other row of `sources` is all +0.0, the bits the pass would leave there.
+    * The passes run on the driver's cores: [[repro.core.Chunks.default]]
     * workers on the JVM's common ForkJoin pool, the calling thread being one.
     * Each worker reuses one [[Kernel]] and takes the next source, in id
     * order, from one shared counter, so a slow row holds up only its own
@@ -483,16 +485,21 @@ object LocalBrandes {
   def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): Array[Double] =
     dependencyTable(g, sources, targets, Chunks.default)
 
-  /** [[dependencyTable]] on `workers` workers; one worker is the sequential
-    * loop over the sources in id order. A worker whose row is not finite
-    * records the row's position and stops, and no worker takes a source past
-    * the least such position, so every source before it is evaluated and the
-    * calling thread fails with the error the sequential loop would raise.
+  /** [[dependencyTable]] on `workers` workers. */
+  private[repro] def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int], workers: Int): Array[Double] =
+    evaluatedTable(g, sources, targets, workers)._1
+
+  /** [[dependencyTable]] on `workers` workers, and the number of Brandes
+    * passes it ran. One worker is the sequential loop over the kept sources
+    * in id order. A worker whose row is not finite records the row's position
+    * and stops, and no worker takes a source past the least such position, so
+    * every source before it is evaluated and the calling thread fails with the
+    * error the sequential loop would raise.
     */
-  private[repro] def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int], workers: Int): Array[Double] = {
-    val table = emptyTable(g.n, targets)
+  private[repro] def evaluatedTable(g: CSRGraph, sources: BitSet, targets: Array[Int],
+                                    workers: Int): (Array[Double], Int) = {
+    val (table, ids) = screenedTable(g, sources, targets)
     val k = targets.length
-    val ids = sources.stream().toArray
     val next = new AtomicInteger
     val failed = new AtomicInteger(ids.length) // least position in `ids` whose row is not finite
     Chunks.run(Chunks.count(ids.length, workers)) { _ =>
@@ -505,7 +512,124 @@ object LocalBrandes {
     }
     val bad = failed.get
     if (bad < ids.length) throw overflow(ids(bad), targets, table, ids(bad) * k)
-    table
+    (table, ids.length)
+  }
+
+  /** Both table builders' start: the n × |targets| table with every entry
+    * NaN but the rows of the `sources` that [[supported]] screens out, which
+    * hold +0.0, and the kept sources in id order, whose rows still need a
+    * Brandes pass each.
+    */
+  private[graph] def screenedTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): (Array[Double], Array[Int]) = {
+    val table = emptyTable(g.n, targets)
+    val kept = supported(g, sources, targets)
+    val k = targets.length
+    var v = sources.nextSetBit(0)
+    while (v >= 0) {
+      if (!kept.get(v)) java.util.Arrays.fill(table, v * k, (v + 1) * k, 0.0)
+      v = sources.nextSetBit(v + 1)
+    }
+    (table, kept.stream().toArray)
+  }
+
+  /** The `sources` whose row of a table over `targets`, vertices of `g`, can
+    * hold a non-zero δ; every other source's row is +0.0 at every target.
+    *
+    * On an unweighted graph, δ_{s•}(r) > 0 iff s ≠ r and some neighbour w of
+    * r has d(s, w) = d(s, r) + 1: r then has a successor w in s's
+    * shortest-path DAG, and δ_{s•}(r) ≥ σ_{sr}/σ_{sw} > 0 (Brandes 2001).
+    * Otherwise no arc leaves r in that DAG, so the pass never adds to δ(r)
+    * and leaves the +0.0 it cleared there: whatever σ does, even when it
+    * overflows, since the DAG's arcs depend only on the distances. Since
+    * d(s, w) = d(w, s) and w is adjacent to r, d(w, s) ∈ {ℓ(s) − 1, ℓ(s),
+    * ℓ(s) + 1} with ℓ = d(r, ·), so a BFS from r decides this for every
+    * source at once. It takes r's neighbours w_i in blocks of up to 64, one
+    * bit each, and keeps two masks per vertex v of r's component:
+    *   - B(v) = {i : d(w_i, v) = ℓ(v) − 1};
+    *   - A(v) = {i : d(w_i, v) ≤ ℓ(v)}.
+    * Both start as {i} at w_i and ∅ elsewhere; then B(v) gains B(u) of every
+    * neighbour u at ℓ(v) − 1, and A(v) gains B(v), A(u) of every neighbour u
+    * at ℓ(v) − 1 and B(u) of every neighbour u at ℓ(v). For v ≠ w_i, the
+    * vertex u before v on a shortest path from w_i is a neighbour of v with
+    * d(w_i, u) = d(w_i, v) − 1, and d(w_i, u) ≥ ℓ(u) − 1 with
+    * |ℓ(u) − ℓ(v)| ≤ 1. If d(w_i, v) = ℓ(v) − 1, that forces
+    * ℓ(u) = ℓ(v) − 1 and i ∈ B(u); if d(w_i, v) = ℓ(v), either
+    * ℓ(u) = ℓ(v) − 1 and i ∈ A(u), or ℓ(u) = ℓ(v) and i ∈ B(u). Conversely
+    * each term bounds d(w_i, v) by ℓ(v) − 1 or ℓ(v) through u. A source s ≠ r
+    * in r's component is kept iff A(s) misses some i of a block.
+    *
+    * Each block is one BFS from r, which fills both masks as it goes. When
+    * it expands the level at d, B is complete there (the level at d − 1 gave
+    * it) and A is complete at d − 1, so each v at d scans its arcs once:
+    * it discovers the unreached neighbours, ORs A(u) or B(u) of each neighbour
+    * u at d − 1 or d into A(v), and ORs B(v) into B(u) of each u at d + 1.
+    * As in the kernel's top-down level, no branch depends on a scanned arc's
+    * data: the discovery and the masks are arithmetic on ℓ(u) (see
+    * [[Kernel]]). The targets go in increasing degree. The screen stops once
+    * every source is kept, and a target's blocks stop once every source but
+    * the target itself is kept, as r is never in its own support. Memory is
+    * two `Long` and two `Int` arrays of n, whatever the degrees.
+    *
+    * A weighted graph keeps every source: its distances are float sums, and
+    * d(s, w) summed from s and d(w, s) summed from w can round apart, so a
+    * screen from r cannot reproduce the pass's ties exactly.
+    */
+  private[graph] def supported(g: CSRGraph, sources: BitSet, targets: Array[Int]): BitSet = {
+    val kept = new BitSet(g.n)
+    if (g.weighted) { kept.or(sources); return kept }
+    val n = g.n; val offsets = g.offsets; val nbr = g.neighbors
+    val level = new Array[Int](n) // ℓ(v) = d(r, v), −1 until reached
+    val order = new Array[Int](n + 1) // BFS order from r; one spare slot for the unconditional store
+    val below = new Array[Long](n) // B(v)
+    val within = new Array[Long](n) // A(v)
+    var open = sources.cardinality // sources not kept yet
+    val byDegree = targets.sortBy(g.degree)
+    var t = 0
+    while (open > 0 && t < byDegree.length) {
+      val r = byDegree(t); t += 1
+      val self = if (sources.get(r) && !kept.get(r)) 1 else 0 // r is a source it cannot keep
+      var block = offsets(r)
+      while (open > self && block < offsets(r + 1)) {
+        val size = math.min(64, offsets(r + 1) - block)
+        java.util.Arrays.fill(level, -1); java.util.Arrays.fill(below, 0L); java.util.Arrays.fill(within, 0L)
+        var i = 0
+        while (i < size) { val w = nbr(block + i); below(w) = 1L << i; within(w) = 1L << i; i += 1 }
+        block += size
+        level(r) = 0; order(0) = r
+        // order(lo until hi) is the level at distance d; B is complete on it
+        var lo = 0; var hi = 1; var tail = 1; var d = 0
+        while (lo < hi) {
+          val step = d + 2 // takes an unreached u's −1 to d + 1
+          i = lo
+          while (i < hi) {
+            val v = order(i); i += 1
+            val b = below(v)
+            var a = within(v) | b
+            var j = offsets(v)
+            val end = offsets(v + 1)
+            while (j < end) {
+              val u = nbr(j); j += 1
+              val fresh = level(u) >>> 31
+              order(tail) = u; tail += fresh
+              val x = level(u) + fresh * step - d // ℓ(u) − d: −1, 0 or 1
+              level(u) = x + d
+              val previous = (x >> 31).toLong; val next = (-x >> 31).toLong
+              a |= within(u) & previous | below(u) & ~(previous | next)
+              below(u) |= b & next
+            }
+            within(v) = a
+          }
+          lo = hi; hi = tail; d += 1
+        }
+        val whole = -1L >>> (64 - size)
+        var s = sources.nextSetBit(0)
+        while (s >= 0) {
+          if (level(s) > 0 && within(s) != whole && !kept.get(s)) { kept.set(s); open -= 1 }
+          s = sources.nextSetBit(s + 1)
+        }
+      }
+    }
+    kept
   }
 
   /** The failure of source s's row at `out(offset)`, which [[Kernel.row]]

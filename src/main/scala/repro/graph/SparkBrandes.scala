@@ -27,10 +27,11 @@ object SparkBrandes {
     perPartition(spark, g, Array.range(0, g.n), numPartitions)(LocalBrandes.bc(_, _))
       .foldLeft(new Array[Double](g.n))(LocalBrandes.accumulate)
 
-  /** [[LocalBrandes.dependencyTable]] as one distributed job: the marked
-    * sources are split over `numPartitions` tasks (default: the session's
-    * parallelism), each task evaluates its rows in one [[LocalBrandes.Kernel]],
-    * and the driver scatters them into the table. Every row depends only on its
+  /** [[LocalBrandes.dependencyTable]] as one distributed job: the sources
+    * that [[LocalBrandes.supported]] keeps are split over `numPartitions`
+    * tasks (default: the session's parallelism), each task evaluates its rows
+    * in one [[LocalBrandes.Kernel]], and the driver scatters them into the
+    * table; the other sources' rows are +0.0. Every row depends only on its
     * own source, so the table is bit-identical for every partition count.
     */
   def dependencyTable(
@@ -38,9 +39,13 @@ object SparkBrandes {
       g: CSRGraph,
       sources: BitSet,
       targets: Array[Int],
-      numPartitions: Int = 0): Array[Double] = {
-    val table = LocalBrandes.emptyTable(g.n, targets)
-    val ids = sources.stream().toArray
+      numPartitions: Int = 0): Array[Double] =
+    evaluatedTable(spark, g, sources, targets, numPartitions)._1
+
+  /** [[dependencyTable]], and the number of Brandes passes its job ran. */
+  private def evaluatedTable(spark: SparkSession, g: CSRGraph, sources: BitSet, targets: Array[Int],
+                             numPartitions: Int): (Array[Double], Int) = {
+    val (table, ids) = LocalBrandes.screenedTable(g, sources, targets)
     if (ids.nonEmpty) {
       val k = targets.length
       val batches = perPartition(spark, g, ids, numPartitions) { (graph, vs) =>
@@ -59,23 +64,28 @@ object SparkBrandes {
         while (i < batch.length) { System.arraycopy(rows, i * k, table, batch(i) * k, k); i += 1 }
       }
     }
-    table
+    (table, ids.length)
   }
 
   /** The δ table of the samplers' `runSpark` over `sources`, built on the
-    * session's cores, and where it was built: "driver pool, W workers" or
-    * "Spark job, P partitions". On a local master the executors are the
-    * driver's own threads, so the table is built on the driver's pool
+    * session's cores, and where it was built and how many Brandes passes it
+    * ran: "driver pool, W workers, P of S sources evaluated" or "Spark job,
+    * Q partitions, P of S sources evaluated". On a local master the executors
+    * are the driver's own threads, so the table is built on the driver's pool
     * ([[LocalBrandes.dependencyTable]]), with no broadcast, no task launch
     * and no static split of the sources; on any other master it is one Spark
     * job ([[dependencyTable]]). Both give the same bits.
     */
   def sessionTable(spark: SparkSession, g: CSRGraph, sources: BitSet,
                    targets: Array[Int]): (Array[Double], String) = {
-    val count = sources.cardinality
-    if (spark.sparkContext.isLocal)
-      (LocalBrandes.dependencyTable(g, sources, targets), s"driver pool, ${Chunks.count(count, Chunks.default)} workers")
-    else (dependencyTable(spark, g, sources, targets), s"Spark job, ${partitions(spark, count, 0)} partitions")
+    val local = spark.sparkContext.isLocal
+    val (table, passes) =
+      if (local) LocalBrandes.evaluatedTable(g, sources, targets, Chunks.default)
+      else evaluatedTable(spark, g, sources, targets, 0)
+    val where =
+      if (local) s"driver pool, ${Chunks.count(passes, Chunks.default)} workers"
+      else s"Spark job, ${partitions(spark, passes, 0)} partitions"
+    (table, s"$where, $passes of ${sources.cardinality} sources evaluated")
   }
 
   /** The task count of a job over `count` sources: `numPartitions`

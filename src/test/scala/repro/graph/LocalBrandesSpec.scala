@@ -214,6 +214,71 @@ class LocalBrandesSpec extends AnyFunSuite {
     }
   }
 
+  /** The sources whose row over `targets` has a non-zero entry, by one
+    * [[LocalBrandes.Kernel.row]] per source.
+    */
+  private def nonZeroRows(g: CSRGraph, sources: Seq[Int], targets: Array[Int]): Set[Int] = {
+    val kernel = new LocalBrandes.Kernel(g)
+    val row = new Array[Double](targets.length)
+    sources.filter { s => kernel.row(s, targets, row, 0); row.exists(_ != 0.0) }.toSet
+  }
+
+  private def keptSet(g: CSRGraph, sources: Seq[Int], targets: Array[Int]): Set[Int] =
+    LocalBrandes.supported(g, LocalBrandes.markSources(g.n, sources), targets).stream.toArray.toSet
+
+  test("supported keeps exactly the sources whose row has a non-zero entry") {
+    val isolated = "karate+isolated" -> EdgeList(35, GraphGen.karateClub.edges)
+    val graphs = (TestGraphs.battery ++ Seq(
+      "karate+path10" -> TestGraphs.disjointUnion(GraphGen.karateClub, GraphGen.path(10)), isolated,
+      "star40" -> GraphGen.star(40), "complete12" -> GraphGen.complete(12),
+      "ba400-1" -> GraphGen.barabasiAlbert(400, 3, 1L))).map { case (name, el) => name -> CSRGraph.fromEdges(el) }
+    val rnd = new scala.util.Random(16)
+    for ((name, g) <- graphs) {
+      val all = 0 until g.n
+      for (r <- all)
+        assert(keptSet(g, all, Array(r)) == nonZeroRows(g, all, Array(r)), s"$name, target $r")
+      // several targets, each of whose screens may stop early, over a random part of the sources
+      for (_ <- 1 to 10) {
+        val targets = rnd.shuffle(all.toVector).take(1 + rnd.nextInt(math.min(g.n, 6))).toArray
+        val sources = all.filter(_ => rnd.nextBoolean())
+        assert(keptSet(g, sources, targets) == nonZeroRows(g, sources, targets),
+          s"$name, targets ${targets.mkString(",")}")
+      }
+    }
+    // empty supports: a star's leaves, a complete graph's vertices and an isolated vertex
+    val star = CSRGraph.fromEdges(GraphGen.star(40))
+    val complete = CSRGraph.fromEdges(GraphGen.complete(12))
+    val karateIsolated = CSRGraph.fromEdges(isolated._2)
+    assert((1 until star.n).forall(r => keptSet(star, 0 until star.n, Array(r)).isEmpty))
+    assert((0 until complete.n).forall(r => keptSet(complete, 0 until complete.n, Array(r)).isEmpty))
+    assert(keptSet(karateIsolated, 0 until karateIsolated.n, Array(34)).isEmpty)
+    // a weighted graph keeps every source
+    val weighted = CSRGraph.fromEdges(GraphGen.star(40), TestGraphs.smallWeights)
+    assert(keptSet(weighted, Seq(1, 2, 7), Array(5)) == Set(1, 2, 7))
+  }
+
+  test("screened tables have the bits of one Kernel.row per source, at 1 and Chunks.default workers") {
+    val ba = GraphGen.barabasiAlbert(400, 3, 1L)
+    val unweighted = CSRGraph.fromEdges(ba)
+    val hub = (0 until unweighted.n).maxBy(unweighted.degree)
+    val leaf = (0 until unweighted.n).minBy(unweighted.degree)
+    val union = CSRGraph.fromEdges(TestGraphs.disjointUnion(GraphGen.karateClub, GraphGen.path(10)))
+    val cases = Seq(
+      ("target among the sources", unweighted, Array(leaf), (0 until 400 by 3) :+ leaf),
+      ("a hub and a leaf", unweighted, Array(hub, leaf), 0 until 400 by 2),
+      ("karate+path10, path end and karate hub", union, Array(43, 33, 35), 0 until union.n),
+      ("weighted, a hub and a leaf", CSRGraph.fromEdges(ba, TestGraphs.smallWeights), Array(hub, leaf), 0 until 400 by 2))
+    for ((name, g, targets, sources) <- cases; workers <- Seq(1, repro.core.Chunks.default)) {
+      val table = LocalBrandes.dependencyTable(g, LocalBrandes.markSources(g.n, sources), targets, workers)
+      val k = targets.length
+      val expected = Array.fill(g.n * k)(Double.NaN)
+      val kernel = new LocalBrandes.Kernel(g)
+      sources.foreach(s => kernel.row(s, targets, expected, s * k))
+      assert(table.map(java.lang.Double.doubleToRawLongBits).sameElements(expected.map(java.lang.Double.doubleToRawLongBits)),
+        s"$name, $workers workers")
+    }
+  }
+
   /** The battery, 25 random connected graphs and a disconnected one
     * (path(4) plus the edge (4,5)), each with a random target set that holds
     * a vertex of every component, so some rows have a target unreachable from

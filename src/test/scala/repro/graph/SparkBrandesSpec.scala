@@ -102,11 +102,33 @@ class SparkBrandesSpec extends SparkSpec {
          sources <- Seq(LocalBrandes.markSources(g.n, Seq.tabulate(120)(i => (i * 7) % g.n)),
                         LocalBrandes.markSources(g.n, Seq(5, 40)))) {
       val (table, where) = SparkBrandes.sessionTable(spark, g, sources, targets)
-      val workers = repro.core.Chunks.count(sources.cardinality, repro.core.Chunks.default)
-      assert(where == s"driver pool, $workers workers", s"$kind, ${sources.cardinality} sources")
+      // every source on a weighted graph, else those whose row has a non-zero entry
+      val kernel = new LocalBrandes.Kernel(g)
+      val row = new Array[Double](targets.length)
+      val passes = sources.stream.toArray.count { s => kernel.row(s, targets, row, 0); g.weighted || row.exists(_ != 0.0) }
+      val workers = repro.core.Chunks.count(passes, repro.core.Chunks.default)
+      assert(where == s"driver pool, $workers workers, $passes of ${sources.cardinality} sources evaluated",
+        s"$kind, ${sources.cardinality} sources")
       assert(table.map(java.lang.Double.doubleToRawLongBits)
         .sameElements(SparkBrandes.dependencyTable(spark, g, sources, targets).map(java.lang.Double.doubleToRawLongBits)),
         s"$kind, ${sources.cardinality} sources")
+    }
+  }
+
+  test("the Spark job's screened table has the local table's bits at 1, 3 and 8 partitions") {
+    val g = CSRGraph.fromEdges(GraphGen.barabasiAlbert(300, 3, 7L))
+    // the target of least non-empty support
+    val (r, column) = (0 until g.n).map(v => v -> LocalBrandes.dependencyColumn(g, v))
+      .filter(_._2.exists(_ > 0.0)).minBy(_._2.count(_ > 0.0))
+    val zero = (0 until g.n).filter(column(_) == 0.0)
+    assert(zero.length > g.n / 2 && zero.length < g.n, s"${zero.length} sources outside the support of $r")
+    def bits(table: Array[Double]) = table.map(java.lang.Double.doubleToRawLongBits)
+    for ((what, sources) <- Seq("every source" -> (0 until g.n), "only sources outside the support" -> zero)) {
+      val marked = LocalBrandes.markSources(g.n, sources)
+      val local = LocalBrandes.dependencyTable(g, marked, Array(r))
+      for (p <- Seq(1, 3, 8))
+        assert(bits(SparkBrandes.dependencyTable(spark, g, marked, Array(r), p)).sameElements(bits(local)),
+          s"$what, $p partitions")
     }
   }
 
