@@ -6,7 +6,9 @@ import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 
 /** One realized run of the joint-space sampler (§4.3). A state or proposal
   * ⟨R(k), v⟩ with k the *index into R* is the flat index s = v·|R| + k, so
-  * k = s % |R|, v = s / |R|, and s is its δ's position in `delta`.
+  * k = s % |R|, v = s / |R|, and s is its δ's position in `delta`. As with
+  * [[Chain]], only [[MHJoint.sample]] and [[MHJoint.walk]] build one, so
+  * every row an estimator reads has passed the walk's checks.
   *
   * @param states    chain state at every iteration t = 0..T (length T+1), flat
   * @param proposals pair proposed at iteration t = 1..T (length T), flat
@@ -14,13 +16,13 @@ import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
   *                  delta(v * R.length + k) = δ_{v•}(R(k)) for every vertex v that
   *                  appeared in a state or proposal, NaN ("not evaluated") elsewhere
   */
-final case class JointChain(
-    R: Array[Int],
-    n: Int,
-    seed: Long,
-    states: Array[Int],
-    proposals: Array[Int],
-    delta: Array[Double]) {
+final class JointChain private[core] (
+    val R: Array[Int],
+    val n: Int,
+    val seed: Long,
+    val states: Array[Int],
+    val proposals: Array[Int],
+    val delta: Array[Double]) {
 
   def T: Int = proposals.length
 
@@ -35,7 +37,7 @@ final case class JointChain(
   /** Numerator of Eq. 22 for the ordered pair (i over j):
     * (1/|S(j)|) Σ_{s ∈ S(j)} min{1, δ_{s.v•}(r_i)/δ_{s.v•}(r_j)} — the
     * estimator of the relative betweenness score B̈C_{r_j}(r_i). NaN when
-    * S(j) is empty or a sampled δ was never evaluated.
+    * S(j) is empty.
     */
   def relativeEstimate(i: Int, j: Int): Double = {
     val width = R.length
@@ -47,9 +49,7 @@ final case class JointChain(
     while (t <= T) {
       val s = states(t)
       if (s % width == j) { // the row of s holds δ(r_i) at s − j + i and δ(r_j) at s
-        val di = delta(s - j + i); val dj = delta(s)
-        if (di.isNaN || dj.isNaN) return Double.NaN
-        sum += Estimators.cappedRatio(di, dj)
+        sum += Estimators.cappedRatio(delta(s - j + i), delta(s))
         size += 1
       }
       t += 1
@@ -118,7 +118,7 @@ object MHJoint {
     var t = 0
     while (t < T) { proposals(t) = flat(t, propsR(t), propsV(t)); t += 1 }
     val (states, delta) = MHSingle.independenceWalk(seed, s0, proposals, n, width, Chunks.default)(table)
-    JointChain(R, n, seed, states, proposals, delta)
+    new JointChain(R, n, seed, states, proposals, delta)
   }
 
   /** Run fully locally. */

@@ -4,7 +4,9 @@ import java.util.BitSet
 import org.apache.spark.sql.SparkSession
 import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 
-/** One realized run of the single-space sampler.
+/** One realized run of the single-space sampler. Only [[MHSingle.sample]]
+  * and [[MHSingle.walk]] build one, so every δ an estimator reads has passed
+  * the walk's checks: finite and non-negative.
   *
   * @param r         target vertex whose betweenness is being estimated
   * @param n         |V(G)|
@@ -14,13 +16,13 @@ import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
   * @param delta     the δ column (length n): δ_{v•}(r) for every vertex that
   *                  appeared as state/proposal, NaN ("not evaluated") elsewhere
   */
-final case class Chain(
-    r: Int,
-    n: Int,
-    seed: Long,
-    states: Array[Int],
-    proposals: Array[Int],
-    delta: Array[Double]) {
+final class Chain private[core] (
+    val r: Int,
+    val n: Int,
+    val seed: Long,
+    val states: Array[Int],
+    val proposals: Array[Int],
+    val delta: Array[Double]) {
 
   def T: Int = proposals.length
 
@@ -57,56 +59,48 @@ final case class Chain(
     * uniform draws, so the fraction with δ > 0 estimates |supp|/|V|
     * unbiasedly. This is the estimator that makes the paper's chain actually
     * deliver BC(r); see DESIGN.md §1.
+    *
+    * The walk never leaves supp(δ) once in it (see [[MHSingle.walk]]), so the
+    * states in the support are the suffix from the entry time e, the first t
+    * with δ_{X_t} > 0, which a bisection finds: there are T + 1 − e of them,
+    * and the mean of 1/δ runs over them alone. The states before e would add
+    * +0.0, which leaves the sum's bits as they are. If e ≤ T, X_e is the
+    * initial state or a proposal, a draw with δ > 0, so ŝupp > 0; if
+    * e = T + 1 no state is in the support and the estimate is 0.
     */
   def estimateHarmonic: Double = {
-    // the uniform draws are the initial state and the proposals; a draw whose
-    // δ was never evaluated makes the estimate NaN rather than a silent count
-    val d0 = delta(states(0))
-    if (d0.isNaN) return Double.NaN
-    // 1/δ once per vertex, and 0 off the support, where adding +0.0 leaves
-    // the sum's bits as they are: the serial loop below adds the same terms
-    // in the same order as dividing at every state
+    var e = 0
+    var hi = T + 1
+    while (e < hi) { val mid = (e + hi) >>> 1; if (delta(states(mid)) > 0.0) hi = mid else e = mid + 1 }
+    if (e > T) return 0.0
+    // 1/δ once per vertex, read at each state: the same terms as dividing at
+    // every state, which measured 1.7× slower at T = 1e7
     val inv = new Array[Double](n)
     var v = 0
     while (v < n) { val d = delta(v); if (d > 0.0) inv(v) = 1.0 / d; v += 1 }
-    // the calling thread sums over the states, in chain order, while the
-    // pool counts the states and the proposals with δ > 0 (integers: any
-    // order will do), adding each test's 0 or 1 rather than branching on it:
-    // off a hub the support is a fraction of V, and a branch on it mispredicts
-    val k = Chunks.count(T + 1, Chunks.default - 1)
-    val positive = new Array[Int](k) // δ > 0 among chunk c's proposals, −1 if one is unevaluated
-    val supported = new Array[Int](k) // δ > 0 among chunk c's states
+    // the calling thread sums 1/δ over the states from e, in chain order,
+    // while the pool counts the proposals with δ > 0 (integers: any order
+    // will do), adding each test's 0 or 1 rather than branching on it: off a
+    // hub the support is a fraction of V, and a branch on it mispredicts
+    val k = Chunks.count(T, Chunks.default - 1)
+    val positive = new Array[Int](k) // δ > 0 among chunk c's proposals
     var invSum = 0.0
     Chunks.run(k + 1) { c =>
       if (c == 0) {
         var sum = 0.0
-        var t = 0
+        var t = e
         while (t <= T) { sum += inv(states(t)); t += 1 }
         invSum = sum
       } else {
         var p = 0
-        var unevaluated = false
         var t = Chunks.start(T, k, c - 1)
-        var end = Chunks.start(T, k, c)
-        while (t < end) {
-          val d = delta(proposals(t))
-          p += (if (d > 0.0) 1 else 0)
-          unevaluated |= java.lang.Double.isNaN(d)
-          t += 1
-        }
-        positive(c - 1) = if (unevaluated) -1 else p
-        var q = 0
-        t = Chunks.start(T + 1, k, c - 1)
-        end = Chunks.start(T + 1, k, c)
-        while (t < end) { q += (if (delta(states(t)) > 0.0) 1 else 0); t += 1 }
-        supported(c - 1) = q
+        val end = Chunks.start(T, k, c)
+        while (t < end) { p += (if (delta(proposals(t)) > 0.0) 1 else 0); t += 1 }
+        positive(c - 1) = p
       }
     }
-    if (positive.contains(-1)) return Double.NaN
-    val suppHat = n.toDouble * (positive.sum + (if (d0 > 0.0) 1 else 0)) / (T + 1)
-    val inSupport = supported.sum
-    if (inSupport == 0 || suppHat == 0.0) 0.0
-    else suppHat / (invSum / inSupport)
+    val suppHat = n.toDouble * (positive.sum + (if (e == 0) 1 else 0)) / (T + 1)
+    suppHat / (invSum / (T + 1 - e))
   }
 }
 
@@ -164,7 +158,7 @@ object MHSingle {
     */
   def walk(r: Int, n: Int, seed: Long, v0: Int, proposals: Array[Int],
            delta: Array[Double]): Chain =
-    Chain(r, n, seed, independenceWalk(seed, v0, proposals, n, 1, Chunks.default)(_ => delta)._1, proposals, delta)
+    new Chain(r, n, seed, independenceWalk(seed, v0, proposals, n, 1, Chunks.default)(_ => delta)._1, proposals, delta)
 
   /** The one Independence-MH engine of both samplers, over flat states
     * s = v·width + k into n source rows of `width` entries, and the only code
@@ -309,6 +303,6 @@ object MHSingle {
     require(T >= 0, s"chain length T=$T must be non-negative")
     val (v0, props) = drawProposals(n, T, seed)
     val (states, delta) = independenceWalk(seed, v0, props, n, 1, Chunks.default)(column)
-    Chain(r, n, seed, states, props, delta)
+    new Chain(r, n, seed, states, props, delta)
   }
 }

@@ -91,6 +91,7 @@ object CSRGraph {
     * case of the paper's complexity statements (§2.1/§4.1) — from an
     * [[EdgeList]] and a per-edge weight function, applied to the canonical
     * (u < v) edge and used for both directions.
+    * @throws IllegalArgumentException if a weight is not positive and finite, naming its edge
     */
   def fromEdges(el: EdgeList, weight: ((Int, Int)) => Double): CSRGraph = {
     val g = fromEdges(el)
@@ -99,7 +100,8 @@ object CSRGraph {
       val u = g.neighbors(i)
       val e = if (v < u) (v, u) else (u, v)
       weights(i) = weight(e)
-      require(weights(i) > 0, s"weight of $e must be positive")
+      require(weights(i) > 0 && weights(i) < Double.PositiveInfinity,
+        s"weight of $e is ${weights(i)}; a weight must be positive and finite")
     }
     new CSRGraph(g.n, g.offsets, g.neighbors, weights)
   }

@@ -29,12 +29,13 @@ object LocalBrandes {
     */
   def dependency(g: CSRGraph, s: Int): Array[Double] = new Kernel(g).dependency(s)
 
-  /** The finite distance a equals the distance b up to a relative 1e-9, so
-    * equal-weight ties survive float accumulation at any weight scale. The
-    * +∞ of an unreached b ties nothing, though |a − ∞| ≤ 1e-9 · ∞ would hold.
+  /** The distance a equals the distance b up to a relative 1e-9, so
+    * equal-weight ties survive float accumulation at any weight scale. A +∞,
+    * b's when unreached or a's when a path sum overflows, ties nothing, though
+    * |a − b| ≤ 1e-9 · ∞ would hold.
     */
   private def tied(a: Double, b: Double): Boolean =
-    b != Double.PositiveInfinity && math.abs(a - b) <= 1e-9 * math.max(a, b)
+    a != Double.PositiveInfinity && b != Double.PositiveInfinity && math.abs(a - b) <= 1e-9 * math.max(a, b)
 
   /** The one Brandes pass, for both graph kinds, in a reusable workspace: one
     * instance per thread (a Spark task, a local table build, a baseline),
@@ -180,7 +181,7 @@ object LocalBrandes {
       *
       * @return whether every entry is finite. One that is not (σ overflows
       *   `Double` on graphs with very many shortest paths) must fail the
-      *   table, through [[overflow]]: NaN would pass it off as "not evaluated".
+      *   table, through [[LocalBrandes.rows]]: NaN would pass it off as "not evaluated".
       */
     private[graph] def row(s: Int, targets: Array[Int], out: Array[Double], offset: Int): Boolean = {
       pass(s, targets, whole = false)
@@ -470,49 +471,58 @@ object LocalBrandes {
     *
     * A Brandes pass runs only for the sources that [[supported]] keeps; every
     * other row of `sources` is all +0.0, the bits the pass would leave there.
-    * The passes run on the driver's cores: [[repro.core.Chunks.default]]
-    * workers on the JVM's common ForkJoin pool, the calling thread being one.
-    * Each worker reuses one [[Kernel]] and takes the next source, in id
-    * order, from one shared counter, so a slow row holds up only its own
-    * worker: there is no static split of the sources to leave a tail. A row
-    * depends only on its source, so the table has the same bits at any worker
-    * count.
+    * The passes run on the driver's cores, through [[rows]] at
+    * [[repro.core.Chunks.default]] workers on the JVM's common ForkJoin pool,
+    * the calling thread being one. A row depends only on its source, so the
+    * table has the same bits at any worker count.
     *
     * @throws ArithmeticException if an entry is not finite (σ overflows
     *   `Double`), naming the least such source and its first such target,
     *   at any worker count
     */
   def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): Array[Double] =
-    dependencyTable(g, sources, targets, Chunks.default)
-
-  /** [[dependencyTable]] on `workers` workers. */
-  private[repro] def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int], workers: Int): Array[Double] =
-    evaluatedTable(g, sources, targets, workers)._1
+    evaluatedTable(g, sources, targets, Chunks.default)._1
 
   /** [[dependencyTable]] on `workers` workers, and the number of Brandes
-    * passes it ran. One worker is the sequential loop over the kept sources
-    * in id order. A worker whose row is not finite records the row's position
-    * and stops, and no worker takes a source past the least such position, so
-    * every source before it is evaluated and the calling thread fails with the
-    * error the sequential loop would raise.
+    * passes it ran.
     */
   private[repro] def evaluatedTable(g: CSRGraph, sources: BitSet, targets: Array[Int],
                                     workers: Int): (Array[Double], Int) = {
     val (table, ids) = screenedTable(g, sources, targets)
     val k = targets.length
+    rows(g, ids, targets, table, ids(_) * k, workers)
+    (table, ids.length)
+  }
+
+  /** Both table builders' row loop: the row of each `ids(i)` over `targets`
+    * into `out` at `offset(i)`, on `workers` workers. Each worker reuses one
+    * [[Kernel]] and takes the next i from one shared counter, so a slow row
+    * holds up only its own worker: there is no static split to leave a tail.
+    * One worker is the sequential loop over `ids` in order. A worker whose
+    * row is not finite records its i and stops, and no worker takes an i past
+    * the least such one, so every row before it is filled. The calling
+    * thread then throws, as the sequential loop would, an
+    * ArithmeticException naming that i's id and its first non-finite target.
+    */
+  private[graph] def rows(g: CSRGraph, ids: Array[Int], targets: Array[Int], out: Array[Double],
+                          offset: Int => Int, workers: Int): Unit = {
     val next = new AtomicInteger
-    val failed = new AtomicInteger(ids.length) // least position in `ids` whose row is not finite
+    val failed = new AtomicInteger(ids.length) // least i whose row is not finite
     Chunks.run(Chunks.count(ids.length, workers)) { _ =>
       val kernel = new Kernel(g)
       var i = next.getAndIncrement()
       while (i < failed.get) {
-        if (!kernel.row(ids(i), targets, table, ids(i) * k)) failed.accumulateAndGet(i, (a, b) => math.min(a, b))
+        if (!kernel.row(ids(i), targets, out, offset(i))) failed.accumulateAndGet(i, (a, b) => math.min(a, b))
         i = next.getAndIncrement()
       }
     }
     val bad = failed.get
-    if (bad < ids.length) throw overflow(ids(bad), targets, table, ids(bad) * k)
-    (table, ids.length)
+    if (bad < ids.length) {
+      val at = offset(bad)
+      val k = targets.indices.find(k => !java.lang.Double.isFinite(out(at + k))).get
+      throw new ArithmeticException(s"the dependency of source ${ids(bad)} on target ${targets(k)} is " +
+        s"${out(at + k)}: the shortest-path counts σ overflow Double")
+    }
   }
 
   /** Both table builders' start: the n × |targets| table with every entry
@@ -630,16 +640,6 @@ object LocalBrandes {
       }
     }
     kept
-  }
-
-  /** The failure of source s's row at `out(offset)`, which [[Kernel.row]]
-    * found not finite: it names s and the first target whose entry is not
-    * finite.
-    */
-  private[graph] def overflow(s: Int, targets: Array[Int], out: Array[Double], offset: Int): ArithmeticException = {
-    val k = targets.indices.find(k => !java.lang.Double.isFinite(out(offset + k))).get
-    new ArithmeticException(s"the dependency of source $s on target ${targets(k)} is ${out(offset + k)}: " +
-      "the shortest-path counts σ overflow Double")
   }
 
   /** An n × |targets| table with no source evaluated yet (all NaN). */

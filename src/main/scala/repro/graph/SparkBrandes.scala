@@ -30,7 +30,7 @@ object SparkBrandes {
   /** [[LocalBrandes.dependencyTable]] as one distributed job: the sources
     * that [[LocalBrandes.supported]] keeps are split over `numPartitions`
     * tasks (default: the session's parallelism), each task evaluates its rows
-    * in one [[LocalBrandes.Kernel]], and the driver scatters them into the
+    * with [[LocalBrandes.rows]] at one worker, and the driver scatters them into the
     * table; the other sources' rows are +0.0. Every row depends only on its
     * own source, so the table is bit-identical for every partition count.
     */
@@ -51,12 +51,7 @@ object SparkBrandes {
       val batches = perPartition(spark, g, ids, numPartitions) { (graph, vs) =>
         val batch = vs.toArray
         val rows = new Array[Double](batch.length * k)
-        val kernel = new LocalBrandes.Kernel(graph)
-        var i = 0
-        while (i < batch.length) {
-          if (!kernel.row(batch(i), targets, rows, i * k)) throw LocalBrandes.overflow(batch(i), targets, rows, i * k)
-          i += 1
-        }
+        LocalBrandes.rows(graph, batch, targets, rows, _ * k, 1)
         (batch, rows)
       }
       batches.foreach { case (batch, rows) =>

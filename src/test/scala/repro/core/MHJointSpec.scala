@@ -172,15 +172,19 @@ class MHJointSpec extends SparkSpec {
     bothRejected(Array(0, 33), -5, "chain length T=-5 must be non-negative")
   }
 
-  test("relativeEstimate is NaN, not a silent value, when a sampled delta is missing") {
+  test("a NaN in v0's or the last proposal's row fails sample, naming the source") {
+    // the walk checks the drawn rows before its first step, so relativeEstimate never reads a NaN
     val R = Array(0, 33)
-    val chain = MHJoint.run(karate, R, 300, 47L)
-    val table = chain.delta.clone()
-    val (r0, v0) = (rIndex(chain, chain.states(0)), vertex(chain, chain.states(0)))
-    table(v0 * R.length + r0) = Double.NaN
-    val broken = chain.copy(delta = table)
-    assert(broken.relativeEstimate(0, r0).isNaN)
-    assert(!chain.relativeEstimate(0, r0).isNaN)
+    val (r0, v0, pr, pv) = MHJoint.drawProposals(R.length, karate.n, 300, 47L)
+    assert(v0 != pv.last)
+    for ((k, v) <- Seq((r0, v0), (pr.last, pv.last))) {
+      val e = intercept[NoSuchElementException](MHJoint.sample(karate.n, R, 300, 47L) { drawn =>
+        val table = LocalBrandes.dependencyTable(karate, drawn, R)
+        table(v * R.length + k) = Double.NaN
+        table
+      })
+      assert(e.getMessage == s"the dependency of source $v was not evaluated", e.getMessage)
+    }
   }
 
   test("walk fails on a proposal whose delta was not evaluated, naming the vertex") {

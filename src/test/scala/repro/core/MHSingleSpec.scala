@@ -273,16 +273,18 @@ class MHSingleSpec extends SparkSpec {
     }
   }
 
-  test("estimators return NaN, not a silent value, when a sampled delta is missing") {
-    val chain = MHSingle.run(karate, 0, 300, 47L)
-    def withMissing(v: Int): Chain = {
-      val col = chain.delta.clone()
-      col(v) = Double.NaN
-      chain.copy(delta = col)
+  test("a NaN in v0's or the last proposal's delta fails sample, naming the source") {
+    // the walk checks the drawn rows before its first step, so no estimator reads a NaN
+    val (v0, props) = MHSingle.drawProposals(karate.n, 300, 47L)
+    assert(v0 != props.last)
+    for (v <- Seq(v0, props.last)) {
+      val e = intercept[NoSuchElementException](MHSingle.sample(karate.n, 0, 300, 47L) { drawn =>
+        val col = LocalBrandes.dependencyTable(karate, drawn, Array(0))
+        col(v) = Double.NaN
+        col
+      })
+      assert(e.getMessage == s"the dependency of source $v was not evaluated", e.getMessage)
     }
-    assert(withMissing(chain.proposals.last).estimateHarmonic.isNaN)
-    val noStart = withMissing(chain.states(0))
-    assert(noStart.estimateEq7.isNaN && noStart.ergodicMeanDelta.isNaN && noStart.estimateHarmonic.isNaN)
   }
 
   test("walk fails fast on a negative or +∞ dependency of a drawn source, naming the source") {

@@ -4,7 +4,8 @@ package repro.core
   * Independence-MH loop over flat states, one uniform per step from the
   * walk's stream, that records each step's accept/reject flag as it decides
   * it. The chunked walk must reproduce its states bit for bit, and the
-  * chains' derived `accepted(t)` its flags.
+  * chains' derived `accepted(t)` its flags; [[harmonic]] is the reference
+  * for [[Chain.estimateHarmonic]].
   */
 object ReferenceWalk {
 
@@ -21,5 +22,18 @@ object ReferenceWalk {
       states(t + 1) = if (accepted(t)) prop else cur
     }
     (states, accepted)
+  }
+
+  /** The harmonic estimate as one sequential loop over everything: n times
+    * the share of the draws (s0 and the proposals) with δ > 0, over the mean
+    * of 1/δ across the `states` with δ > 0, summed in chain order; 0 if no
+    * state has δ > 0.
+    */
+  def harmonic(n: Int, s0: Int, proposals: Array[Int], states: Array[Int], weight: Array[Double]): Double = {
+    val draws = (s0 +: proposals).count(weight(_) > 0.0)
+    var sum = 0.0
+    var inSupport = 0
+    for (s <- states if weight(s) > 0.0) { sum += 1.0 / weight(s); inSupport += 1 }
+    if (inSupport == 0) 0.0 else n.toDouble * draws / states.length / (sum / inSupport)
   }
 }

@@ -7,9 +7,10 @@ import org.scalatest.funsuite.AnyFunSuite
 /** A seeded ScalaCheck property of [[MHSingle.independenceWalk]]: on random
   * weight tables of 1 to 4 entries per source, with zeros and ties, all-zero
   * tables and tables with one positive entry, the chunked walk gives the
-  * [[ReferenceWalk]]'s states at every chunk count, and the flags both chain
-  * kinds derive from their states are the reference's flags; also when only
-  * some sources are drawn and the other rows hold junk.
+  * [[ReferenceWalk]]'s states at every chunk count, the flags both chain
+  * kinds derive from their states are the reference's flags, and the
+  * harmonic estimate has the bits of [[ReferenceWalk.harmonic]]; also when
+  * only some sources are drawn and the other rows hold junk.
   */
 class WalkPropertySpec extends AnyFunSuite {
 
@@ -50,7 +51,11 @@ class WalkPropertySpec extends AnyFunSuite {
   } yield c.copy(weight = Array.tabulate(c.weight.length)(i => if (drawn.contains(i / c.width)) c.weight(i) else junk(i)),
     s0 = s0, proposals = proposals.toArray)
 
-  private def matchesReference(gen: Gen[Case]): Unit = {
+  /** Checks the property on 200 cases of `gen`, and returns which of T = 0,
+    * an all-zero table and an s0 outside a non-empty support they drew.
+    */
+  private def matchesReference(gen: Gen[Case]): Set[String] = {
+    val drew = Set.newBuilder[String]
     val prop = Prop.forAllNoShrink(gen) { c =>
       val T = c.proposals.length
       val n = c.weight.length / c.width
@@ -58,21 +63,28 @@ class WalkPropertySpec extends AnyFunSuite {
       val walks = Seq(1, 2, 3, 8, T + 5).map(k =>
         k -> MHSingle.independenceWalk(c.seed, c.s0, c.proposals, n, c.width, k)(_ => c.weight)._1)
       val walked = walks.head._2
-      val chain = Chain(0, c.weight.length, c.seed, walked, c.proposals, c.weight)
-      val joint = JointChain(Array.range(0, c.width), n, c.seed, walked, c.proposals, c.weight)
+      val chain = new Chain(0, c.weight.length, c.seed, walked, c.proposals, c.weight)
+      val joint = new JointChain(Array.range(0, c.width), n, c.seed, walked, c.proposals, c.weight)
       val rate = if (T == 0) 0.0 else flags.count(identity).toDouble / T
+      val harmonic = ReferenceWalk.harmonic(c.weight.length, c.s0, c.proposals, states, c.weight)
+      if (T == 0) drew += "T = 0"
+      if (c.weight.forall(_ == 0.0)) drew += "an all-zero table"
+      else if (c.weight(c.s0) == 0.0) drew += "s0 outside the support"
       val mismatch = walks.collectFirst { case (k, s) if !s.sameElements(states) => s"states at $k chunks" }
         .orElse((0 until T).find(t => chain.accepted(t) != flags(t)).map(t => s"Chain.accepted($t)"))
         .orElse((0 until T).find(t => joint.accepted(t) != flags(t)).map(t => s"JointChain.accepted($t)"))
         .orElse(Option.when(chain.acceptanceRate != rate || joint.acceptanceRate != rate)("acceptanceRate"))
+        .orElse(Option.when(java.lang.Double.doubleToRawLongBits(chain.estimateHarmonic) !=
+          java.lang.Double.doubleToRawLongBits(harmonic))(s"estimateHarmonic ${chain.estimateHarmonic}, reference $harmonic"))
       Prop(mismatch.isEmpty) :| s"${mismatch.getOrElse("")} on $c"
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(2019L)), prop)
     assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
+    drew.result()
   }
 
   test("the walk gives the reference's states at every chunk count, and the chains derive its flags") {
-    matchesReference(cases)
+    assert(matchesReference(cases) == Set("T = 0", "an all-zero table", "s0 outside the support"))
   }
 
   test("the walk reads only the drawn sources' rows: junk in every other row changes no state or flag") {

@@ -187,7 +187,7 @@ class LocalBrandesSpec extends AnyFunSuite {
     val failing = sources.stream.toArray.filterNot(kernel.row(_, targets, row, 0))
     assert(failing.length > 8 && failing.head > 3000, s"failing sources ${failing.take(3).mkString(",")}...")
     for (workers <- Seq(1, 2, 4, 8)) {
-      val e = intercept[ArithmeticException](LocalBrandes.dependencyTable(g, sources, targets, workers))
+      val e = intercept[ArithmeticException](LocalBrandes.evaluatedTable(g, sources, targets, workers)._1)
       assert(e.getMessage.startsWith(s"the dependency of source ${failing.head} on target 1 is ") &&
         e.getMessage.endsWith("the shortest-path counts σ overflow Double"), s"$workers workers: ${e.getMessage}")
     }
@@ -204,9 +204,9 @@ class LocalBrandesSpec extends AnyFunSuite {
         sources <- Gen.someOf(0 until g.n)
       } yield (targets.toArray, LocalBrandes.markSources(g.n, sources))
       val prop = Prop.forAllNoShrink(inputs) { case (targets, sources) =>
-        val one = LocalBrandes.dependencyTable(g, sources, targets, 1)
+        val one = LocalBrandes.evaluatedTable(g, sources, targets, 1)._1
         val differs = Seq(2, 3, 8, sources.cardinality + 5)
-          .find(w => !java.util.Arrays.equals(LocalBrandes.dependencyTable(g, sources, targets, w), one))
+          .find(w => !java.util.Arrays.equals(LocalBrandes.evaluatedTable(g, sources, targets, w)._1, one))
         Prop(differs.isEmpty) :| s"$name, targets ${targets.mkString(",")}: ${differs.getOrElse(0)} workers"
       }
       val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(16L + i)), prop)
@@ -269,7 +269,7 @@ class LocalBrandesSpec extends AnyFunSuite {
       ("karate+path10, path end and karate hub", union, Array(43, 33, 35), 0 until union.n),
       ("weighted, a hub and a leaf", CSRGraph.fromEdges(ba, TestGraphs.smallWeights), Array(hub, leaf), 0 until 400 by 2))
     for ((name, g, targets, sources) <- cases; workers <- Seq(1, repro.core.Chunks.default)) {
-      val table = LocalBrandes.dependencyTable(g, LocalBrandes.markSources(g.n, sources), targets, workers)
+      val table = LocalBrandes.evaluatedTable(g, LocalBrandes.markSources(g.n, sources), targets, workers)._1
       val k = targets.length
       val expected = Array.fill(g.n * k)(Double.NaN)
       val kernel = new LocalBrandes.Kernel(g)

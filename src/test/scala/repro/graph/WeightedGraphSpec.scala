@@ -135,8 +135,19 @@ class WeightedGraphSpec extends AnyFunSuite {
   }
 
   test("positive-weight requirement is enforced") {
-    assertThrows[IllegalArgumentException] {
-      CSRGraph.fromEdges(GraphGen.path(3), _ => 0.0)
+    for (bad <- Seq(0.0, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException](CSRGraph.fromEdges(GraphGen.path(3), _ => bad))
+      assert(e.getMessage.contains(s"weight of (0,1) is $bad;"), e.getMessage)
+    }
+  }
+
+  test("a path sum that overflows to +∞ ties nothing: the 1e308 triangle has BC 0") {
+    // every shortest path is one edge at any scale s, but at s = 1e308 the
+    // path 0–1–2 sums to +∞, which must not tie d(0, 2) = 1.5·s
+    for (s <- Seq(1e-300, 1.0, 1e300, 1e308)) {
+      val g = CSRGraph.fromEdges(EdgeList(3, Vector((0, 1), (0, 2), (1, 2))), e => if (e == (0, 2)) 1.5 * s else s)
+      val bc = LocalBrandes.bc(g)
+      assert(bc.forall(_ == 0.0), s"s = $s: BC ${bc.mkString(", ")}")
     }
   }
 
