@@ -31,10 +31,13 @@ final class CSRGraph private (val n: Int, val offsets: Array[Int], val neighbors
     while (i < end) { f(neighbors(i)); i += 1 }
   }
 
-  /** Every vertex is reachable from vertex 0 (one pass); the paper assumes
-    * connected graphs.
+  /** Every vertex is reachable from vertex 0 (one forward step); the paper
+    * assumes connected graphs.
     */
-  def isConnected: Boolean = LocalBrandes.spd(this, 0)._3.length == n
+  def isConnected: Boolean = {
+    val kernel = new LocalBrandes.Kernel(this); kernel.shortestPaths(0)
+    (0 until n).forall(kernel.sigmaTo(_) > 0)
+  }
 
   /** Connected components of `G \ removed` — the set `C` of Theorem 2. */
   def componentsWithout(removed: Int): Vector[Vector[Int]] = {

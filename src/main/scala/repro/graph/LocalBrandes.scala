@@ -17,17 +17,19 @@ object LocalBrandes {
 
   /** Single-source shortest-path DAG (SPD).
     *
-    * @return (dist, sigma, order): BFS distances (−1 if unreachable — cannot
-    *   happen on the connected graphs the paper assumes, but kept defensive;
-    *   on a weighted graph 0 if reached, see [[Kernel.distance]]),
-    *   shortest-path counts σ_{s·}, and vertices in visitation order.
+    * @return (dist, sigma, order): BFS distances (−1 if unreachable; on a
+    *   weighted graph 0 if reached, see [[Kernel.distance]]), shortest-path
+    *   counts σ_{s·} (0 if unreachable), and the reached vertices in
+    *   visitation order.
     */
   def spd(g: CSRGraph, s: Int): (Array[Int], Array[Double], Array[Int]) = new Kernel(g).spd(s)
 
   /** Dependency scores δ_{s•}(v) of source `s` on every vertex v (Eq. 2/4).
     * δ_{s•}(s) is 0 by definition.
+    * A δ that is not finite (σ overflows) throws, naming the least such v ([[finite]]).
     */
-  def dependency(g: CSRGraph, s: Int): Array[Double] = new Kernel(g).dependency(s)
+  def dependency(g: CSRGraph, s: Int): Array[Double] =
+    finite(new Kernel(g).dependency(s), Array(0), g.n)(v => s"the dependency of source $s on target $v")
 
   /** The distance a equals the distance b up to a relative 1e-9, so
     * equal-weight ties survive float accumulation at any weight scale. A +∞,
@@ -51,7 +53,11 @@ object LocalBrandes {
     * target records all its out-arcs, and δ(v) of each marked v receives
     * σ(v)·(1+δ(w))/σ(w) from every successor w, in reverse visitation order of
     * w: the same terms in the same order as a scan of all neighbours, hence
-    * the same bits, whatever order each list is in. A simple undirected graph
+    * the same bits, whatever order each list is in. The coefficient's 1 is
+    * 1 + (σ(w) − σ(w)): exactly 1 for a finite σ(w), so every finite δ keeps
+    * its bits (IEEE + commutes), and NaN for σ(w) = +∞, so a δ that depends
+    * on an overflowed count is NaN, never a wrong (1+δ)/∞ = 0, for [[finite]]
+    * to reject. The term does not lengthen δ's path. A simple undirected graph
     * has at most one DAG arc per edge, so m arc slots suffice. The marks live
     * in the list heads: a head ≥ 0 is a list, hence a mark, and an empty
     * list's head is −2 if its vertex is marked, −1 if not. The sweep stops
@@ -178,22 +184,12 @@ object LocalBrandes {
 
     /** One row of a dependency table, `out(offset + k)` = δ_{s•}(targets(k)),
       * for targets already checked to be vertices (as [[emptyTable]] does).
-      *
-      * @return whether every entry is finite. One that is not (σ overflows
-      *   `Double` on graphs with very many shortest paths) must fail the
-      *   table, through [[LocalBrandes.rows]]: NaN would pass it off as "not evaluated".
+      * An entry that depends on an overflowed σ is NaN.
       */
-    private[graph] def row(s: Int, targets: Array[Int], out: Array[Double], offset: Int): Boolean = {
+    private[graph] def row(s: Int, targets: Array[Int], out: Array[Double], offset: Int): Unit = {
       pass(s, targets, whole = false)
-      var finite = true
       var k = 0
-      while (k < targets.length) {
-        val x = delta(targets(k))
-        out(offset + k) = x
-        finite &= java.lang.Double.isFinite(x)
-        k += 1
-      }
-      finite
+      while (k < targets.length) { out(offset + k) = delta(targets(k)); k += 1 }
     }
 
     /** Clear the workspace, run the graph's forward step from s recording the
@@ -219,7 +215,7 @@ object LocalBrandes {
         val w = order(i); i -= 1
         var a = lastArc(w)
         if (a >= 0) {
-          val coef = (1.0 + delta(w)) / sigma(w)
+          val coef = (delta(w) + (1.0 + (sigma(w) - sigma(w)))) / sigma(w) // NaN iff σ(w) overflowed
           while (a >= 0) { val v = arcFrom(a); delta(v) += sigma(v) * coef; a = nextArc(a) }
         }
       }
@@ -477,8 +473,8 @@ object LocalBrandes {
     * table has the same bits at any worker count.
     *
     * @throws ArithmeticException if an entry is not finite (σ overflows
-    *   `Double`), naming the least such source and its first such target,
-    *   at any worker count
+    *   `Double`), naming the least such source and its first such target
+    *   ([[finite]]), at any worker count
     */
   def dependencyTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): Array[Double] =
     evaluatedTable(g, sources, targets, Chunks.default)._1
@@ -487,50 +483,33 @@ object LocalBrandes {
     * passes it ran.
     */
   private[repro] def evaluatedTable(g: CSRGraph, sources: BitSet, targets: Array[Int],
-                                    workers: Int): (Array[Double], Int) = {
-    val (table, ids) = screenedTable(g, sources, targets)
-    val k = targets.length
-    rows(g, ids, targets, table, ids(_) * k, workers)
-    (table, ids.length)
-  }
+                                    workers: Int): (Array[Double], Int) =
+    screenedTable(g, sources, targets)((table, ids) => rows(g, ids, targets, table, ids(_) * targets.length, workers))
 
   /** Both table builders' row loop: the row of each `ids(i)` over `targets`
     * into `out` at `offset(i)`, on `workers` workers. Each worker reuses one
     * [[Kernel]] and takes the next i from one shared counter, so a slow row
     * holds up only its own worker: there is no static split to leave a tail.
-    * One worker is the sequential loop over `ids` in order. A worker whose
-    * row is not finite records its i and stops, and no worker takes an i past
-    * the least such one, so every row before it is filled. The calling
-    * thread then throws, as the sequential loop would, an
-    * ArithmeticException naming that i's id and its first non-finite target.
+    * One worker is the sequential loop over `ids` in order. Every row is
+    * filled, overflowed or not: the check is the caller's ([[screenedTable]]).
     */
   private[graph] def rows(g: CSRGraph, ids: Array[Int], targets: Array[Int], out: Array[Double],
                           offset: Int => Int, workers: Int): Unit = {
     val next = new AtomicInteger
-    val failed = new AtomicInteger(ids.length) // least i whose row is not finite
     Chunks.run(Chunks.count(ids.length, workers)) { _ =>
       val kernel = new Kernel(g)
       var i = next.getAndIncrement()
-      while (i < failed.get) {
-        if (!kernel.row(ids(i), targets, out, offset(i))) failed.accumulateAndGet(i, (a, b) => math.min(a, b))
-        i = next.getAndIncrement()
-      }
-    }
-    val bad = failed.get
-    if (bad < ids.length) {
-      val at = offset(bad)
-      val k = targets.indices.find(k => !java.lang.Double.isFinite(out(at + k))).get
-      throw new ArithmeticException(s"the dependency of source ${ids(bad)} on target ${targets(k)} is " +
-        s"${out(at + k)}: the shortest-path counts σ overflow Double")
+      while (i < ids.length) { kernel.row(ids(i), targets, out, offset(i)); i = next.getAndIncrement() }
     }
   }
 
-  /** Both table builders' start: the n × |targets| table with every entry
-    * NaN but the rows of the `sources` that [[supported]] screens out, which
-    * hold +0.0, and the kept sources in id order, whose rows still need a
-    * Brandes pass each.
+  /** Both table builders' frame, on the driver, returning the table and its
+    * pass count. The n × |targets| table starts all NaN but the rows of the
+    * `sources` that [[supported]] screens out, which hold +0.0; `evaluate`
+    * fills the kept sources' rows (`ids`, in id order), and [[finite]] checks them.
     */
-  private[graph] def screenedTable(g: CSRGraph, sources: BitSet, targets: Array[Int]): (Array[Double], Array[Int]) = {
+  private[graph] def screenedTable(g: CSRGraph, sources: BitSet, targets: Array[Int])(
+      evaluate: (Array[Double], Array[Int]) => Unit): (Array[Double], Int) = {
     val table = emptyTable(g.n, targets)
     val kept = supported(g, sources, targets)
     val k = targets.length
@@ -539,7 +518,20 @@ object LocalBrandes {
       if (!kept.get(v)) java.util.Arrays.fill(table, v * k, (v + 1) * k, 0.0)
       v = sources.nextSetBit(v + 1)
     }
-    (table, kept.stream().toArray)
+    val ids = kept.stream().toArray
+    evaluate(table, ids)
+    (finite(table, ids, k)(i => s"the dependency of source ${i / k} on target ${targets(i % k)}"), ids.length)
+  }
+
+  /** The one σ-overflow check, on the driver: `values` if each entry of its
+    * `width`-wide rows `rows` is finite (the sweep makes NaN of a δ that
+    * depends on an overflowed σ), else an ArithmeticException naming
+    * `what(i)` of the first entry i that is not, rows in the given order.
+    */
+  private[graph] def finite(values: Array[Double], rows: Array[Int], width: Int)(what: Int => String): Array[Double] = {
+    for (r <- rows; i <- r * width until (r + 1) * width if !java.lang.Double.isFinite(values(i)))
+      throw new ArithmeticException(s"${what(i)} is ${values(i)}: the shortest-path counts σ overflow Double")
+    values
   }
 
   /** The `sources` whose row of a table over `targets`, vertices of `g`, can
@@ -653,8 +645,12 @@ object LocalBrandes {
     table
   }
 
-  /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3). */
-  def bc(g: CSRGraph): Array[Double] = bc(g, Iterator.range(0, g.n))
+  /** Exact betweenness of every vertex, BC(v) = Σ_s δ_{s•}(v) (Eq. 3), checked by [[finiteBC]]. */
+  def bc(g: CSRGraph): Array[Double] = finiteBC(bc(g, Iterator.range(0, g.n)))
+
+  /** Both backends' one check of exact BC, on the driver: the least vertex whose BC is not finite throws. */
+  private[graph] def finiteBC(bc: Array[Double]): Array[Double] =
+    finite(bc, Array(0), bc.length)(v => s"the betweenness of vertex $v")
 
   /** [[bc]]'s fold over `sources` in their order, also each task of [[SparkBrandes.bc]]. */
   private[graph] def bc(g: CSRGraph, sources: Iterator[Int]): Array[Double] = {

@@ -21,11 +21,11 @@ object SparkBrandes {
   /** Exact BC of every vertex: each task sums the dependency vectors of its
     * sources, in order, with [[LocalBrandes.bc]]'s fold, and the driver sums
     * the per-partition sums in partition order, so repeated calls at one
-    * partition count are bit-identical.
+    * partition count are bit-identical. The driver checks the sum once, as [[LocalBrandes.bc]] does.
     */
   def bc(spark: SparkSession, g: CSRGraph, numPartitions: Int = 0): Array[Double] =
-    perPartition(spark, g, Array.range(0, g.n), numPartitions)(LocalBrandes.bc(_, _))
-      .foldLeft(new Array[Double](g.n))(LocalBrandes.accumulate)
+    LocalBrandes.finiteBC(perPartition(spark, g, Array.range(0, g.n), numPartitions)(LocalBrandes.bc(_, _))
+      .foldLeft(new Array[Double](g.n))(LocalBrandes.accumulate))
 
   /** [[LocalBrandes.dependencyTable]] as one distributed job: the sources
     * that [[LocalBrandes.supported]] keeps are split over `numPartitions`
@@ -33,6 +33,7 @@ object SparkBrandes {
     * with [[LocalBrandes.rows]] at one worker, and the driver scatters them into the
     * table; the other sources' rows are +0.0. Every row depends only on its
     * own source, so the table is bit-identical for every partition count.
+    * The driver checks the rows as the local build does, so an overflow throws the same at any count.
     */
   def dependencyTable(
       spark: SparkSession,
@@ -44,23 +45,22 @@ object SparkBrandes {
 
   /** [[dependencyTable]], and the number of Brandes passes its job ran. */
   private def evaluatedTable(spark: SparkSession, g: CSRGraph, sources: BitSet, targets: Array[Int],
-                             numPartitions: Int): (Array[Double], Int) = {
-    val (table, ids) = LocalBrandes.screenedTable(g, sources, targets)
-    if (ids.nonEmpty) {
-      val k = targets.length
-      val batches = perPartition(spark, g, ids, numPartitions) { (graph, vs) =>
-        val batch = vs.toArray
-        val rows = new Array[Double](batch.length * k)
-        LocalBrandes.rows(graph, batch, targets, rows, _ * k, 1)
-        (batch, rows)
-      }
-      batches.foreach { case (batch, rows) =>
-        var i = 0
-        while (i < batch.length) { System.arraycopy(rows, i * k, table, batch(i) * k, k); i += 1 }
+                             numPartitions: Int): (Array[Double], Int) =
+    LocalBrandes.screenedTable(g, sources, targets) { (table, ids) =>
+      if (ids.nonEmpty) {
+        val k = targets.length
+        val batches = perPartition(spark, g, ids, numPartitions) { (graph, vs) =>
+          val batch = vs.toArray
+          val rows = new Array[Double](batch.length * k)
+          LocalBrandes.rows(graph, batch, targets, rows, _ * k, 1)
+          (batch, rows)
+        }
+        batches.foreach { case (batch, rows) =>
+          var i = 0
+          while (i < batch.length) { System.arraycopy(rows, i * k, table, batch(i) * k, k); i += 1 }
+        }
       }
     }
-    (table, ids.length)
-  }
 
   /** The δ table of the samplers' `runSpark` over `sources`, built on the
     * session's cores, and where it was built and how many Brandes passes it

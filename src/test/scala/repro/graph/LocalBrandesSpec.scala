@@ -178,19 +178,44 @@ class LocalBrandesSpec extends AnyFunSuite {
     // Double across about 1024, and from a source that far from vertex 1 its
     // entry is not finite; the sources near the middle are all finite
     val k = 1100
-    val g = CSRGraph.fromEdges(EdgeList(3 * k + 1, Vector.tabulate(k)(i =>
-      Seq((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 3), (3 * i + 2, 3 * i + 3))).flatten))
+    val g = CSRGraph.fromEdges(TestGraphs.diamondChain(k))
     val sources = LocalBrandes.markSources(g.n, (1500 until 1700) ++ (3000 until g.n))
     val targets = Array(1, 3 * k)
     val row = new Array[Double](targets.length)
     val kernel = new LocalBrandes.Kernel(g)
-    val failing = sources.stream.toArray.filterNot(kernel.row(_, targets, row, 0))
-    assert(failing.length > 8 && failing.head > 3000, s"failing sources ${failing.take(3).mkString(",")}...")
+    val failing = sources.stream.toArray.filter { s =>
+      kernel.row(s, targets, row, 0); !row.forall(java.lang.Double.isFinite)
+    }
+    assert(failing.length > 8 && failing.head == 3072, s"failing sources ${failing.take(3).mkString(",")}...")
+    // from 3072 to 3074 σ(1) is finite but σ(0) = σ(1) + σ(2) overflows: (1 + δ(0)) / σ(0)
+    // would be 0 and δ(1) a wrong 0.0, not 0.5, were the overflow not marked
+    for (s <- 3072 to 3074) {
+      val (_, sigma, _) = kernel.spd(s)
+      assert(sigma(0) == Double.PositiveInfinity && sigma(1) < Double.PositiveInfinity, s"source $s")
+      kernel.row(s, targets, row, 0)
+      assert(row(0).isNaN, s"source $s: δ(1) = ${row(0)}")
+    }
     for (workers <- Seq(1, 2, 4, 8)) {
       val e = intercept[ArithmeticException](LocalBrandes.evaluatedTable(g, sources, targets, workers)._1)
       assert(e.getMessage.startsWith(s"the dependency of source ${failing.head} on target 1 is ") &&
         e.getMessage.endsWith("the shortest-path counts σ overflow Double"), s"$workers workers: ${e.getMessage}")
     }
+  }
+
+  test("exact bc and dependency fail on a σ overflow, and a finite dependency matches the definition") {
+    val k = 1100
+    val g = CSRGraph.fromEdges(TestGraphs.diamondChain(k))
+    // the two ends have BC 0; every vertex between lies on paths whose σ overflows
+    val bc = intercept[ArithmeticException](LocalBrandes.bc(g))
+    assert(bc.getMessage == "the betweenness of vertex 1 is NaN: the shortest-path counts σ overflow Double")
+    val dep = intercept[ArithmeticException](LocalBrandes.dependency(g, 0))
+    assert(dep.getMessage == "the dependency of source 0 on target 1 is NaN: the shortest-path counts σ overflow Double")
+    // from the middle, at most 2^550 shortest paths: every δ is finite
+    val mid = 3 * (k / 2)
+    val delta = LocalBrandes.dependency(g, mid)
+    val exact = TestGraphs.diamondChainDependency(k, mid)
+    (0 until g.n).foreach(v => assert(approxEq(delta(v), exact(v)), s"δ_{$mid•}($v) = ${delta(v)}, exactly ${exact(v)}"))
+    assert(java.util.Arrays.equals(delta, new TopDownKernel(g).dependency(mid)))
   }
 
   test("dependencyTable has the 1-worker table's bits at 2, 3, 8 and |sources| + 5 workers") {

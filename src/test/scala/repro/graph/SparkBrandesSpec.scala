@@ -132,6 +132,28 @@ class SparkBrandesSpec extends SparkSpec {
     }
   }
 
+  test("a σ overflow fails the Spark table on the driver with the pool's message, at 1, 3 and 8 partitions") {
+    // the diamond chain and sources of LocalBrandesSpec's failing-rows test
+    val g = CSRGraph.fromEdges(TestGraphs.diamondChain(1100))
+    val sources = LocalBrandes.markSources(g.n, (1500 until 1700) ++ (3000 until g.n))
+    val targets = Array(1, g.n - 1)
+    val pool = intercept[ArithmeticException](LocalBrandes.dependencyTable(g, sources, targets)).getMessage
+    assert(pool.startsWith("the dependency of source 3072 on target 1 is NaN"), pool)
+    for (p <- Seq(1, 3, 8)) {
+      val e = intercept[ArithmeticException](SparkBrandes.dependencyTable(spark, g, sources, targets, p))
+      assert(e.getMessage == pool, s"$p partitions")
+    }
+  }
+
+  test("distributed bc fails on a σ overflow, naming the least vertex whose BC is not finite, at 1 and 3 partitions") {
+    val g = CSRGraph.fromEdges(TestGraphs.diamondChain(1100))
+    for (p <- Seq(1, 3)) {
+      val e = intercept[ArithmeticException](SparkBrandes.bc(spark, g, p))
+      assert(e.getMessage == "the betweenness of vertex 1 is NaN: the shortest-path counts σ overflow Double",
+        s"$p partitions")
+    }
+  }
+
   test("BC is unchanged under a seeded vertex relabelling: BC'(π(v)) = BC(v), locally and on Spark") {
     def irregular(e: (Int, Int)): Double = 0.1 + ((e._1 * 2654435761L + e._2 * 40503L) % 10007) / 1234.567
     def close(a: Double, b: Double): Boolean = math.abs(a - b) <= 1e-9 * math.max(math.abs(a), math.abs(b))

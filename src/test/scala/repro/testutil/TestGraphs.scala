@@ -165,6 +165,25 @@ object TestGraphs {
   def disjointUnion(a: EdgeList, b: EdgeList): EdgeList =
     EdgeList(a.n + b.n, (a.edges ++ b.edges.map { case (u, v) => (u + a.n, v + a.n) }).sorted)
 
+  /** k diamonds in a row: the junctions 3i (i = 0..k), and the two middles
+    * 3i + 1 and 3i + 2 between the junctions 3i and 3i + 3. The 2^j shortest
+    * paths across j diamonds overflow Double's σ once j reaches 1024.
+    */
+  def diamondChain(k: Int): EdgeList =
+    EdgeList(3 * k + 1, Vector.tabulate(k)(i =>
+      Seq((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 3), (3 * i + 2, 3 * i + 3))).flatten)
+
+  /** δ_{s•}(v) on [[diamondChain]](k) from a junction s, by the definition
+    * (Eq. 2): every shortest path from s to a vertex t beyond v, on the far
+    * side of v from s, crosses a junction v, and half of them cross a middle
+    * v. So δ counts the vertices beyond v, halved at a middle.
+    */
+  def diamondChainDependency(k: Int, s: Int): Array[Double] =
+    Array.tabulate(3 * k + 1) { v =>
+      val u = if (v < s) v else 3 * k - v // v's index from its own end of the chain
+      if (v == s) 0.0 else if (u % 3 == 0) u.toDouble else (3 * (u / 3) + 1) / 2.0
+    }
+
   /** Deterministic small integer edge weights in {1, 2, 3}, so weighted ties actually occur. */
   def smallWeights(e: (Int, Int)): Double = 1.0 + (e._1 + 2 * e._2) % 3
 
