@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{Baselines, Chunks, MHJoint}
+import repro.core.{Baselines, Chunks, MHJoint, MHSingle}
 import repro.graph.{CSRGraph, LocalBrandes, SparkBrandes}
 import repro.graphgen.GraphGen
 
@@ -108,5 +108,38 @@ class T6CompareScaleBench extends SparkSpec {
     }
     println(BenchUtil.table(s"T6d: LocalBrandes.dependencyTable, us per source (median of $reps builds)",
       Seq("graph and sources", "|sources|", "targets", "passes", "workers", "us/source", "table hash"), rows))
+  }
+
+  test("T6e: where a single-long-2k query's time goes, in-JVM") {
+    // MHSingle.run's query as perfbench's single-long-2k times it (runSpark builds on
+    // the driver's pool on a local master), split at the builder call into contiguous
+    // parts: the draw and the marking of the drawn sources, the table build, the rest
+    // of the walk engine (row checks, the states buffer, the walk), and the estimator
+    val g = CSRGraph.fromEdges(GraphGen.barabasiAlbert(2000, 4, 7L))
+    val r = BenchUtil.medianDegreeVertex(g)
+    val T = 10000000
+    val (warm, reps) = (10, 41)
+    val parts = (1 to warm + reps).map { seed =>
+      var (b0, b1) = (0L, 0L)
+      val t0 = System.nanoTime()
+      val chain = MHSingle.sample(g.n, r, T, seed) { sources =>
+        b0 = System.nanoTime(); val table = LocalBrandes.dependencyTable(g, sources, Array(r)); b1 = System.nanoTime(); table
+      }
+      val t1 = System.nanoTime()
+      chain.estimateHarmonic
+      val t2 = System.nanoTime()
+      Seq(b0 - t0, b1 - b0, t1 - b1, t2 - t1, t2 - t0).map(_ / 1e6)
+    }.drop(warm)
+    def quartiles(xs: Seq[Double]): Seq[Double] = { val s = xs.sorted; Seq(0.25, 0.5, 0.75).map(f => s(((s.length - 1) * f).round.toInt)) }
+    val names = Seq("draw and mark", "table build", "rest of walk engine", "estimateHarmonic", "whole query")
+    val stats = names.indices.map(i => quartiles(parts.map(_(i))))
+    val query = stats.last(1)
+    def share(ms: Double): String = s"${BenchUtil.f(100 * ms / query, 1)}%"
+    val rows = names.zip(stats).map { case (name, q) => Seq(name) ++ q.map(BenchUtil.f(_, 2)) :+ share(q(1)) } :+ {
+      val sum = stats.init.map(_(1)).sum
+      Seq("sum of the part medians", "", BenchUtil.f(sum, 2), "", share(sum))
+    }
+    println(BenchUtil.table(s"T6e: single-long-2k query split, BA(2000,4) r = $r, T = 1e7, ms (seeds ${warm + 1}-${warm + reps} after $warm warm-ups)",
+      Seq("part", "q1", "median", "q3", "of query median"), rows))
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.ForkJoinPool
+import java.util.concurrent.{Callable, ForkJoinPool}
 
 /** The driver's one thread source: O(T) driver loops split their index range
   * into contiguous chunks and run them on the JVM's common ForkJoin pool, the
@@ -33,5 +33,13 @@ private[repro] object Chunks {
     val tasks = Array.tabulate(k - 1)(c => pool.submit(new Runnable { def run(): Unit = body(c + 1) }))
     body(0)
     tasks.foreach(_.join())
+  }
+
+  /** Starts `body` on the common pool and returns its join, which waits for
+    * the result. The body must not throw, as for [[run]].
+    */
+  def fork[A](body: => A): () => A = {
+    val task = ForkJoinPool.commonPool().submit(new Callable[A] { def call(): A = body })
+    () => task.join()
   }
 }

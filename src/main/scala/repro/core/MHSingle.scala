@@ -174,17 +174,20 @@ object MHSingle {
     * proposal that every state accepts (the coupling behind perfect sampling
     * for IMH, Corcoran & Tweedie 2002). Every state lies in a drawn row, so
     * with δ_max their largest entry, step t's proposal p is accepted from
-    * every state when u_t < δ(p)/δ_max: from a state with δ = 0 always, and
-    * from one with 0 < δ ≤ δ_max because correctly rounded division is
+    * every state when [[accepts]](u_t, δ(p), δ_max): that test answers as
+    * u_t < min{1, δ(p)/δ} does, which holds from a state with δ = 0 always,
+    * and from one with 0 < δ ≤ δ_max because correctly rounded division is
     * monotone, so δ(p)/δ ≥ δ(p)/δ_max. That has probability
     * E[δ]/δ_max = 1/μ(r) per step (the quantity of Theorem 1; Mengersen &
-    * Tweedie 1996). Each chunk but the first looks for its first such step
-    * τ and walks from τ to its end, as the first chunk walks from s0, all on
-    * [[Chunks]]; then one sequential pass walks each chunk's steps before τ
-    * from the previous chunk's end state. A chunk with no such step
-    * (δ_max = 0, or μ(r) about the chunk length or more) is walked whole in
+    * Tweedie 1996), and 1 when δ_max = 0. Each chunk but the first looks for
+    * its first such step τ and walks from τ to its end, as the first chunk
+    * walks from s0, all on [[Chunks]]; then one sequential pass walks each
+    * chunk's steps before τ from the previous chunk's end state. A chunk with
+    * no such step (μ(r) about the chunk length or more) is walked whole in
     * that pass: the same bits, only not faster. The u_t come from one
-    * stream, each chunk's jumped ahead to its first step.
+    * stream, each chunk's jumped ahead to its first step. The T + 1 states
+    * are allocated on the pool while `build` runs, so the JVM zeroes them
+    * (40 MB at T = 1e7) beside the table build rather than after it.
     *
     * A proposal outside the table is found last, by the JVM's own index
     * check on `weight(p)`, which every step already pays (a separate pass
@@ -195,6 +198,8 @@ object MHSingle {
     require(s0 >= 0 && s0 < n.toLong * width,
       s"vertex ${Math.floorDiv(s0, width)} at the initial state is outside [0, n = $n)")
     val drawn = LocalBrandes.markSources(n, s0, proposals, width)
+    val T = proposals.length
+    val zeroed = Chunks.fork(new Array[Int](T + 1)) // the JVM zeroes the states on the pool while the table is built
     val weight = build(drawn)
     require(weight.length == n.toLong * width,
       s"delta table has length ${weight.length}, expected n * |R| = $n * $width")
@@ -213,8 +218,7 @@ object MHSingle {
       val first = (Iterator.single(s0) ++ proposals).map(Math.floorDiv(_, width)).find(v => v >= 0 && holes.get(v)).get
       throw new NoSuchElementException(s"the dependency of source $first was not evaluated")
     }
-    val T = proposals.length
-    val states = new Array[Int](T + 1)
+    val states = zeroed()
     states(0) = s0
     val k = Chunks.count(T, chunks)
     def lo(c: Int): Int = Chunks.start(T, k, c)
@@ -227,7 +231,7 @@ object MHSingle {
         if (c == 0) steps(rnd, lo(c), hi, s0, proposals, weight, states)
         else {
           var t = lo(c)
-          while (t < hi && !(rnd.nextDouble() < weight(proposals(t)) / dmax)) t += 1
+          while (t < hi && !accepts(rnd.nextDouble(), weight(proposals(t)), dmax)) t += 1
           tau(c) = t
           if (t < hi) {
             states(t + 1) = proposals(t)
@@ -256,12 +260,50 @@ object MHSingle {
     while (t < to) {
       val prop = proposals(t)
       val dp = weight(prop)
-      val ratio = if (dc == 0.0) 1.0 else dp / dc
-      if (rnd.nextDouble() < math.min(1.0, ratio)) { cur = prop; dc = dp }
+      if (accepts(rnd.nextDouble(), dp, dc)) { cur = prop; dc = dp }
       states(t + 1) = cur
       t += 1
     }
   }
+
+  /** The walk's accept test, Eq. 6's u < min{1, dp/dc} for a state with
+    * δ = dc and a proposal with δ = dp (true when dc = 0: see [[walk]]), for
+    * u on the 2^-53 grid of [0, 1) and finite dp, dc ≥ 0. It answers as that
+    * division would, for every such input, and mostly without dividing: with
+    * x = fl(u·dc), it accepts if x < fl(dp·(1 − 2^-50)) and rejects if
+    * x > fl(dp·(1 + 2^-50)), when x > 2^-968; otherwise it divides.
+    *
+    * Proof. Let e = 2^-53, fl round to nearest and q = dp/dc, exact. As
+    * u < 1 the division's answer is u < fl(q) (fl(q) may be +∞). The fast
+    * answers need x > 2^-968, so u ≥ 2^-53 and dc > 0; and x is normal, so
+    * x = u·dc·(1 + ε) with |ε| ≤ e. (Any bound from the smallest normal,
+    * 2^-1022, up would do; 2^-968 = 2^54 · 2^-1022 keeps every product the
+    * proof rounds far from the subnormal range.)
+    *  - Accept: x < l = fl(dp·(1 − 8e)). Then l > 2^-968, so dp·(1 − 8e) is
+    *    normal and l ≤ dp·(1 − 8e)(1 + e), while x ≥ u·dc·(1 − e). So
+    *    q > u·(1 − e)/((1 − 8e)(1 + e)) > u·(1 + e). u is normal, so the
+    *    gap to the next double up is at most 2e·u, and q lies past the
+    *    midpoint: fl(q) > u.
+    *  - Reject: x > h = fl(dp·(1 + 8e)) (never if h overflows). If
+    *    dp·(1 + 8e) is normal, h ≥ dp·(1 + 8e)(1 − e), and x ≤ u·dc·(1 + e),
+    *    so u·dc > dp·(1 + 8e)(1 − e)/(1 + e) ≥ dp. If it is subnormal,
+    *    dp < 2^-1022 < u·dc. Either way q < u, and rounding is monotone, so
+    *    fl(q) ≤ u.
+    * In the band |x/dp − 1| ≲ 2^-50, and for u = 0 or dc = 0 (then x = 0),
+    * the division decides. The band's 8e is the proof's margin: accepting
+    * needs more than 1 − (1 − e)/(1 + e)² ≈ 3e, rejecting about 2e, and 8e
+    * is a power of two above both, not a tuned constant.
+    */
+  private[core] def accepts(u: Double, dp: Double, dc: Double): Boolean = {
+    val x = u * dc
+    if (x > Tiny && x < dp * Below) true
+    else if (x > Tiny && x > dp * Above) false
+    else dc == 0.0 || u < dp / dc // u < 1, so u < min{1, dp/dc} is u < dp/dc
+  }
+
+  private val Tiny = math.scalb(1.0, -968)
+  private val Below = 1.0 - math.scalb(1.0, -50)
+  private val Above = 1.0 + math.scalb(1.0, -50)
 
   /** The walk's uniform draws from step t on: its stream jumped t draws
     * (2t outputs) ahead. The stream is separate from [[drawProposals]]'.

@@ -20,6 +20,15 @@ class MHSingleSpec extends SparkSpec {
     assert(!pa.sameElements(pc))
   }
 
+  test("single-long-2k's query shape is pinned: BA(2000,4,7), median-degree target, T = 1e6, seed 2019") {
+    val g = CSRGraph.fromEdges(GraphGen.barabasiAlbert(2000, 4, 7L))
+    val r = (0 until g.n).sortBy(g.degree).apply(g.n / 2)
+    assert(r == 1634)
+    val chain = MHSingle.run(g, r, 1000000, 2019L)
+    assert(java.util.Arrays.hashCode(chain.states) == 588022024)
+    assert(java.lang.Double.doubleToRawLongBits(chain.estimateHarmonic) == 4647993064328274072L) // 543.6332354853103
+  }
+
   test("walk: chain starts at v0; rejected steps repeat the state") {
     val chain = MHSingle.run(karate, 0, 200, 3L)
     assert(chain.states.length == 201 && chain.proposals.length == 200)

@@ -3,7 +3,8 @@ package repro.core
 /** The reference for [[MHSingle.independenceWalk]]: the plain sequential
   * Independence-MH loop over flat states, one uniform per step from the
   * walk's stream, that records each step's accept/reject flag as it decides
-  * it. The chunked walk must reproduce its states bit for bit, and the
+  * it by the division of Eq. 6. The stream is `java.util.Random`'s, whose
+  * algorithm [[Lcg]] copies, so the reference shares no code with the walk. The chunked walk must reproduce its states bit for bit, and the
   * chains' derived `accepted(t)` its flags; [[harmonic]] is the reference
   * for [[Chain.estimateHarmonic]].
   */
@@ -11,7 +12,7 @@ object ReferenceWalk {
 
   /** (states, accepted) of the walk from s0 over `proposals` into `weight`. */
   def apply(seed: Long, s0: Int, proposals: Array[Int], weight: Array[Double]): (Array[Int], Array[Boolean]) = {
-    val rnd = new Lcg(seed ^ 0x5DEECE66DL)
+    val rnd = new java.util.Random(seed ^ 0x5DEECE66DL)
     val states = new Array[Int](proposals.length + 1)
     val accepted = new Array[Boolean](proposals.length)
     states(0) = s0
